@@ -1,49 +1,49 @@
 """Error types shared across the package.
 
-Everything derives from ValueError or RuntimeError so callers that do not
-care about the fine-grained class can catch the builtin.
+Everything derives from BnlabError, and from ValueError or RuntimeError so
+callers that do not care about the fine-grained class can catch the builtin.
 """
 
 
-class DimensionError(ValueError):
+class BnlabError(Exception):
+    """Base of every error the package raises on purpose."""
+
+
+class DimensionError(BnlabError, ValueError):
     """Shapes or ranks do not line up."""
 
 
-class SizeError(ValueError):
+class SizeError(BnlabError, ValueError):
     """A count or length is too small (or otherwise out of range)."""
 
 
-class DomainError(ValueError):
+class DomainError(BnlabError, ValueError):
     """A scalar argument lies outside the mathematical domain of the map."""
 
 
-class DegenerateBatchError(ValueError):
+class DegenerateBatchError(BnlabError, ValueError):
     """A normalization region contains fewer than two elements."""
 
 
-class UninitializedStatsError(RuntimeError):
+class UninitializedStatsError(BnlabError, RuntimeError):
     """Evaluation-mode normalization requested before any statistics exist."""
 
 
-class CacheMismatchError(RuntimeError):
+class CacheMismatchError(BnlabError, RuntimeError):
     """A backward pass was handed a cache from a different forward pass."""
 
 
-class GroupingError(ValueError):
+class GroupingError(BnlabError, ValueError):
     """Channel count is not divisible into the requested groups."""
 
 
-class LabelError(ValueError):
+class LabelError(BnlabError, ValueError):
     """A class label is outside [0, class_count)."""
 
 
-class ConfigError(ValueError):
+class ConfigError(BnlabError, ValueError):
     """An experiment config file failed to parse or validate."""
 
 
-class FormatError(ValueError):
+class FormatError(BnlabError, ValueError):
     """A binary data file does not match the expected layout."""
-
-
-class RunError(RuntimeError):
-    """An experiment run failed for an environmental reason (I/O and similar)."""

@@ -21,7 +21,7 @@ from ..diagnostics import (
     loss_step_probe,
     sign_coherence,
 )
-from ..errors import ConfigError, RunError
+from ..errors import BnlabError, ConfigError
 from ..nn import build_network
 from ..noise import noise_summary, per_example_gradients
 from ..rmt import FussCatalanDensity, condition_report, ks_distance, sample_product_spectrum
@@ -247,7 +247,7 @@ def main(argv=None) -> int:
             return 1
         print(f"run error: {exc}", file=sys.stderr)
         return 2
-    except (RunError, OSError) as exc:
+    except (BnlabError, OSError) as exc:  # raised after the config parsed
         print(f"run error: {exc}", file=sys.stderr)
         return 2
 

@@ -132,6 +132,11 @@ class ExperimentConfig:
             raise ConfigError("noise needs examples >= 2 and trials >= 1")
         if any(b < 1 for b in z.batch_sizes) or any(lr <= 0 for lr in z.lrs):
             raise ConfigError("noise batch sizes must be >= 1 and lrs positive")
+        for b in z.batch_sizes:
+            if b > z.examples:
+                raise ConfigError(
+                    f"noise.batch_sizes entry {b} exceeds noise.examples = {z.examples}"
+                )
 
 
 # value casters -------------------------------------------------------------

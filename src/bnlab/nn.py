@@ -12,6 +12,7 @@ arrays.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -116,7 +117,7 @@ class BnCache:
     n: int
     fresh: bool  # statistics were computed from x (so gradients flow through them)
     components: BnComponents
-    layer: "BatchNorm"
+    layer: "weakref.ref[BatchNorm]"  # weak: the layer holds this cache
     token: int
 
 
@@ -236,7 +237,7 @@ def bn_forward_train(
         n=n,
         fresh=fresh,
         components=comp,
-        layer=layer,
+        layer=weakref.ref(layer),
         token=layer._serial,
     )
     if update_state:
@@ -286,7 +287,9 @@ def bn_backward(dout: Array, cache: BnCache) -> tuple[Array, Array, Array]:
     """
     if cache is None:
         raise CacheMismatchError("no forward cache available")
-    layer = cache.layer
+    layer = cache.layer()
+    if layer is None:
+        raise CacheMismatchError("the layer that made this cache no longer exists")
     if cache.token != layer._serial:
         raise CacheMismatchError(
             f"{layer.name}: cache is from forward #{cache.token}, "

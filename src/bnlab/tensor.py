@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DimensionError
 
@@ -100,13 +99,24 @@ def matmul(a: Array, b: Array) -> Array:
     return a @ b
 
 
-def _pad_hw(x: Array) -> Array:
-    return np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+def _padded(x: Array) -> tuple[Array, int]:
+    """Images end to end on one zero-padded grid: ([c, w + 2 + n + w + 2], n).
+
+    Rows end in a zero and images in a zero row the next image shares as padding.
+    Output (k, r, s) is grid position p = k*(h+1)*(w+1) + r*(w+1) + s, with r = h or
+    s = w junk; its input under kernel offset (i, j) is column p + i*(w+1) + j.
+    """
+    b, c, h, w = x.shape
+    n = b * (h + 1) * (w + 1)
+    flat = np.zeros((c, n + 2 * w + 4))
+    grid = flat[:, w + 2 : w + 2 + n].reshape(c, b, h + 1, w + 1)
+    grid[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
+    return flat, n
 
 
-def _windows(x: Array) -> Array:
-    """All 3x3 patches of the zero-padded input, shape [b, c, h, w, 3, 3]."""
-    return sliding_window_view(_pad_hw(x), (3, 3), axis=(2, 3))
+def _shifted(flat: Array, n: int, w: int) -> list[tuple[int, int, Array]]:
+    """(i, j, input under kernel offset (i, j) at all n grid positions), as views."""
+    return [(i, j, flat[:, i * (w + 1) + j :][:, :n]) for i in range(3) for j in range(3)]
 
 
 def _check_conv_args(x: Array, kernel: Array) -> None:
@@ -124,49 +134,44 @@ def conv2d_forward(x: Array, kernel: Array) -> Array:
     """Same-size 3x3 convolution with zero padding.
 
     out[b, o, x, y] = sum over c and offsets (i, j) in {-1, 0, 1}^2 of
-    x[b, c, x + i, y + j] * kernel[o, c, i, j] (out-of-range input reads 0).
+    x[b, c, x + i, y + j] * kernel[o, c, i, j] (out-of-range input reads 0),
+    as one product per offset over the padded layout's shifted slices.
     """
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
+    x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv_args(x, kernel)
-    b, c, h, w = x.shape
-    o = kernel.shape[0]
-    cols = np.ascontiguousarray(_windows(x).transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b * h * w, c * 9
-    )
-    out = cols @ kernel.reshape(o, c * 9).T
-    return np.ascontiguousarray(out.reshape(b, h, w, o).transpose(0, 3, 1, 2))
+    (b, c, h, w), o = x.shape, kernel.shape[0]
+    flat, n = _padded(x)
+    acc, term = np.zeros((o, n)), np.empty((o, n))
+    for i, j, window in _shifted(flat, n, w):
+        acc += np.matmul(kernel[:, :, i, j], window, out=term)
+    out = acc.reshape(o, b, h + 1, w + 1)[:, :, :h, :w]
+    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
 
 def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Array]:
-    """Gradients of a scalar loss through conv2d_forward.
+    """Gradients of a scalar loss through conv2d_forward: (grad_input, grad_kernel).
 
-    Returns (grad_input, grad_kernel). grad_kernel[o, c, i, j] is the plain
-    sum over batch and positions of upstream[b, o, x, y] * x_pad[b, c, x+i, y+j].
+    grad_kernel[o, c, i, j] is the plain sum over batch and positions of
+    upstream[b, o, x, y] * x_pad[b, c, x+i, y+j]; grad_input is the same-size conv
+    of upstream with the spatially flipped, channel-transposed kernel.
     """
     upstream = as_tensor(upstream)
     x = as_tensor(x)
     kernel = as_tensor(kernel)
     _check_conv_args(x, kernel)
-    b, c, h, w = x.shape
-    o = kernel.shape[0]
+    (b, c, h, w), o = x.shape, kernel.shape[0]
     if upstream.shape != (b, o, h, w):
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match output {(b, o, h, w)}"
         )
-    cols = np.ascontiguousarray(_windows(x).transpose(0, 2, 3, 1, 4, 5)).reshape(
-        b * h * w, c * 9
-    )
-    up = np.ascontiguousarray(upstream.transpose(0, 2, 3, 1)).reshape(b * h * w, o)
-    grad_kernel = (up.T @ cols).reshape(o, c, 3, 3)
-    dcols = (up @ kernel.reshape(o, c * 9)).reshape(b, h, w, c, 3, 3)
-    grad_pad = np.zeros((b, c, h + 2, w + 2))
-    for i in range(3):
-        for j in range(3):
-            grad_pad[:, :, i : i + h, j : j + w] += dcols[:, :, :, :, i, j].transpose(
-                0, 3, 1, 2
-            )
-    return grad_pad[:, :, 1 : h + 1, 1 : w + 1], grad_kernel
+    flat, n = _padded(x)
+    # Read from the first image on, padded upstream is upstream on the grid, 0 at junk.
+    up = _padded(upstream)[0][:, w + 2 :][:, :n]
+    grad_kernel = np.empty((o, c, 3, 3))
+    for i, j, window in _shifted(flat, n, w):
+        grad_kernel[:, :, i, j] = up @ window.T
+    flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+    return conv2d_forward(upstream, flipped), grad_kernel
 
 
 @dataclass(frozen=True)
@@ -198,26 +203,20 @@ def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     x = as_tensor(x)
     if x.ndim != 4 or upstream.ndim != 4:
         raise DimensionError("expected [b, c, h, w] activations")
-    b, c, h, w = x.shape
+    (b, c, h, w), o = x.shape, upstream.shape[1]
     if upstream.shape[0] != b or upstream.shape[2:] != (h, w):
-        raise DimensionError(
-            f"upstream {upstream.shape} does not match input {x.shape}"
-        )
-    win = _windows(x)  # [b, c, h, w, 3, 3]
-    total = np.einsum("boxy,bcxyij->ocij", upstream, win)
-    abs_sum = np.einsum("boxy,bcxyij->ocij", np.abs(upstream), np.abs(win))
-    # |sum over (x, y)| per batch element, then sum over the batch.
-    per_batch = np.einsum("boxy,bcxyij->bocij", upstream, win)
-    batch_partial = np.abs(per_batch).sum(axis=0)
-    # |sum over b| per position, then sum over positions.
-    per_pos = np.einsum("boxy,bcxyij->ocxyij", upstream, win)
-    spatial_partial = np.abs(per_pos).sum(axis=(2, 3))
-    return SummandReduction(
-        total=total,
-        abs_sum=abs_sum,
-        batch_partial=batch_partial,
-        spatial_partial=spatial_partial,
-    )
+        raise DimensionError(f"upstream {upstream.shape} does not match input {x.shape}")
+    flat, n = _padded(x)
+    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j]
+    cols = np.empty((b, h * w, c * 9))
+    for i, j, window in _shifted(flat, n, w):
+        grid = window.reshape(c, b, h + 1, w + 1)[:, :, :h, :w]
+        cols.reshape(b, h, w, c, 3, 3)[..., i, j] = grid.transpose(1, 2, 3, 0)
+    up = upstream.reshape(b, o, h * w)
+    per_batch = up @ cols  # sum over (x, y) for each batch element
+    per_pos = np.ascontiguousarray(up.transpose(2, 1, 0)) @ cols.transpose(1, 0, 2)
+    fields = (per_batch, np.abs(up) @ np.abs(cols), np.abs(per_batch), np.abs(per_pos))
+    return SummandReduction(*(f.sum(axis=0).reshape(o, c, 3, 3) for f in fields))
 
 
 def gram_eigenvalues(x: Array) -> Array:

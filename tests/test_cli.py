@@ -92,6 +92,16 @@ class TestExitCodes:
         assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "run error" in capsys.readouterr().err
 
+    def test_runtime_error_after_parse_is_two(self, tmp_path, capsys):
+        # Per-example gradients feed BN one example at a time: a degenerate batch.
+        p = tmp_path / "c.cfg"
+        p.write_text(
+            "network.kind = dense\nnetwork.norm = batch\nnetwork.depth = 3\n"
+            "noise.examples = 16\nnoise.batch_sizes = 1, 4\n"
+        )
+        assert main(["noise-bound", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "run error" in capsys.readouterr().err
+
 
 class TestAnalysisCommands:
     def test_probe_loss(self, config_path, tmp_path):

@@ -64,6 +64,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="batch_size"):
             parse_config(MINIMAL + "train.batch_size = 1\n")
 
+    def test_noise_batch_larger_than_examples_rejected(self):
+        with pytest.raises(ConfigError, match="entry 16 exceeds noise.examples = 8"):
+            parse_config(MINIMAL + "noise.examples = 8\nnoise.batch_sizes = 1, 16\n")
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*network.depht"):
             parse_config("network.depth = 8\nnetwork.depht = 9\n")

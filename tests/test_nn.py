@@ -1,5 +1,7 @@
+import gc
 import itertools
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -221,6 +223,22 @@ class TestBnBackward:
         bn_forward_train(x + 1.0, layer)
         with pytest.raises(CacheMismatchError):
             bn_backward(np.ones_like(x), cache1)
+
+    def test_dropped_network_frees_bn_layers_without_collector(self):
+        cfg = NetworkConfig(depth=20, kind="conv", width=12, class_count=10,
+                            input_shape=(3, 8, 8), norm="batch", residual=True)
+        net = build_network(cfg, SeededRng(0).child(100))
+        gen = SeededRng(8).generator()
+        x, y = gen.normal(size=(64, 3, 8, 8)), gen.integers(0, 10, size=64)
+        gc.disable()
+        try:
+            net.loss_and_grad(x, y)
+            bn = weakref.ref(net.layers[-3].norm2)
+            assert isinstance(bn(), BatchNorm) and bn().cache is not None
+            del net
+            assert bn() is None
+        finally:
+            gc.enable()
 
 
 class TestBnPeriod:

@@ -192,15 +192,19 @@ class TestConvBackward:
 
     def test_finite_difference(self):
         gen = SeededRng(12).generator()
-        x = gen.normal(size=(2, 2, 3, 4))
-        k = gen.normal(size=(3, 2, 3, 3))
-        proj = gen.normal(size=(2, 3, 3, 4))
+        shapes = [(2, 2, 3, 3, 4)] + list(
+            itertools.product((1, 2), (1, 2), (1, 2), (1, 2, 4), (1, 3, 4))
+        )
+        for b, ci, co, h, w in shapes:
+            x = gen.normal(size=(b, ci, h, w))
+            k = gen.normal(size=(co, ci, 3, 3))
+            proj = gen.normal(size=(b, co, h, w))
 
-        dx, dk = conv2d_backward(proj, x, k)
-        fx = fd_grad(lambda v: float(np.sum(conv2d_forward(v, k) * proj)), x)
-        fk = fd_grad(lambda v: float(np.sum(conv2d_forward(x, v) * proj)), k)
-        assert_allclose(dx, fx, rtol=1e-6, atol=1e-8)
-        assert_allclose(dk, fk, rtol=1e-6, atol=1e-8)
+            dx, dk = conv2d_backward(proj, x, k)
+            fx = fd_grad(lambda v: float(np.sum(conv2d_forward(v, k) * proj)), x)
+            fk = fd_grad(lambda v: float(np.sum(conv2d_forward(x, v) * proj)), k)
+            assert_allclose(dx, fx, rtol=1e-6, atol=1e-8)
+            assert_allclose(dk, fk, rtol=1e-6, atol=1e-8)
 
     def test_upstream_shape_checked(self):
         with pytest.raises(DimensionError):
@@ -212,7 +216,9 @@ class TestConvBackward:
 class TestSummandStats:
     def test_matches_bruteforce(self):
         gen = SeededRng(21).generator()
-        for b, ci, co, h, w in [(1, 1, 1, 2, 2), (2, 2, 3, 3, 2), (2, 1, 2, 4, 4)]:
+        shapes = [(1, 1, 1, 2, 2), (2, 2, 3, 3, 2), (2, 1, 2, 4, 4), (2, 2, 1, 1, 1),
+                  (2, 3, 2, 2, 5)]
+        for b, ci, co, h, w in shapes:
             x = gen.normal(size=(b, ci, h, w))
             up = gen.normal(size=(b, co, h, w))
             got = conv2d_summand_stats(up, x)
