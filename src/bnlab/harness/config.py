@@ -137,6 +137,19 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"noise.batch_sizes entry {b} exceeds noise.examples = {z.examples}"
                 )
+        # The default is left to noise-bound's run-time check (as is cifar10,
+        # whose size is known only once loaded): configs for the other
+        # commands, and their echoes, must parse on small synthetic sets.
+        n_train = self.dataset.classes * self.dataset.per_class
+        if (
+            self.dataset.kind == "synthetic"
+            and z.examples != NoiseConfig.examples
+            and z.examples > n_train
+        ):
+            raise ConfigError(
+                f"noise.examples = {z.examples} exceeds the {n_train} synthetic "
+                "training examples (dataset.classes × dataset.per_class)"
+            )
 
 
 # value casters -------------------------------------------------------------

@@ -40,9 +40,6 @@ class LabeledImageSet:
     def n(self) -> int:
         return self.images.shape[0]
 
-    def subset(self, idx) -> "LabeledImageSet":
-        return LabeledImageSet(self.images[idx], self.labels[idx], self.class_count)
-
 
 def parse_cifar10_bin(source) -> LabeledImageSet:
     """Decode the CIFAR-10 binary layout: 3073-byte records, one label byte

@@ -16,6 +16,7 @@ reconciled.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,15 +28,25 @@ MODES = ("with_replacement", "without_replacement")
 
 @dataclass(frozen=True)
 class GradientSet:
-    """Per-example gradients, one row per example."""
+    """Per-example gradients, one row per example.
+
+    The set is immutable: `matrix` is a read-only view of the array passed
+    in (which the caller must not write to afterwards), and the deviations,
+    C, sum_i ||Delta_i||^2 and every Monte-Carlo draw are computed on first
+    use and kept, so a table over many (lr, batch size) cells does the
+    lr-free work once.
+    """
 
     matrix: Array  # [n_examples, n_params]
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.asarray(self.matrix, dtype=np.float64).view()
         if m.ndim != 2 or m.shape[0] < 1:
             raise SizeError(f"gradient matrix must be 2-d and non-empty, got {m.shape}")
+        m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+        # per-trial squared norms keyed by (batch_size, trials, seed, mode)
+        object.__setattr__(self, "_draws", {})
 
     @property
     def n(self) -> int:
@@ -49,7 +60,23 @@ class GradientSet:
         return self.matrix.mean(axis=0)
 
     def deviations(self) -> Array:
-        return self.matrix - self.mean_gradient()
+        return self._deviations
+
+    @cached_property
+    def _deviations(self) -> Array:
+        d = self.matrix - self.mean_gradient()
+        d.flags.writeable = False
+        return d
+
+    @cached_property
+    def _noise_constant(self) -> float:
+        d = self._deviations
+        return float(np.mean(np.einsum("ij,ij->i", d, d)))
+
+    @cached_property
+    def _total_square(self) -> float:
+        d = self._deviations
+        return float(np.sum(d * d))
 
 
 def per_example_gradients(net, x: Array, labels: Array) -> GradientSet:
@@ -70,8 +97,7 @@ def per_example_gradients(net, x: Array, labels: Array) -> GradientSet:
 
 def noise_constant(gradients: GradientSet) -> float:
     """C = mean squared deviation of per-example gradients from their mean."""
-    d = gradients.deviations()
-    return float(np.mean(np.einsum("ij,ij->i", d, d)))
+    return gradients._noise_constant
 
 
 def sgd_noise_bound(c: float, lr: float, batch_size: int) -> float:
@@ -91,9 +117,7 @@ def closed_form_noise(gradients: GradientSet, lr: float, batch_size: int) -> flo
     n = gradients.n
     if not 1 <= batch_size <= n:
         raise SizeError(f"batch size must be in [1, {n}], got {batch_size}")
-    d = gradients.deviations()
-    total = float(np.sum(d * d))
-    return lr * lr * (n - batch_size) / (batch_size * n * n) * total
+    return lr * lr * (n - batch_size) / (batch_size * n * n) * gradients._total_square
 
 
 @dataclass(frozen=True)
@@ -114,8 +138,10 @@ def empirical_sgd_noise(
 ) -> EmpiricalNoise:
     """Monte-Carlo estimate of the squared minibatch step deviation.
 
-    The lr^2 factor multiplies the sampled average at the end, so estimates
-    for two learning rates on the same seed differ by exactly (lr1/lr2)^2.
+    The per-trial squared norms are drawn once per (batch_size, trials,
+    seed, mode) and kept on `gradients`; the lr^2 factor multiplies their
+    average at the end, so estimates for two learning rates on the same seed
+    differ by exactly (lr1/lr2)^2.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -126,16 +152,21 @@ def empirical_sgd_noise(
         raise SizeError(f"cannot draw {batch_size} of {n} examples without replacement")
     if trials < 1:
         raise SizeError(f"trials must be >= 1, got {trials}")
-    devs = gradients.deviations()
-    gen = SeededRng(seed).generator()
-    per_trial = np.empty(trials)
-    for t in range(trials):
-        if mode == "with_replacement":
-            idx = gen.integers(0, n, size=batch_size)
-        else:
-            idx = gen.permutation(n)[:batch_size]
-        diff = devs[idx].mean(axis=0)
-        per_trial[t] = float(diff @ diff)
+    key = (batch_size, trials, seed, mode)
+    per_trial = gradients._draws.get(key)
+    if per_trial is None:
+        devs = gradients.deviations()
+        gen = SeededRng(seed).generator()
+        per_trial = np.empty(trials)
+        for t in range(trials):
+            if mode == "with_replacement":
+                idx = gen.integers(0, n, size=batch_size)
+            else:
+                idx = gen.permutation(n)[:batch_size]
+            diff = devs[idx].mean(axis=0)
+            per_trial[t] = float(diff @ diff)
+        per_trial.flags.writeable = False
+        gradients._draws[key] = per_trial
     scale = lr * lr
     estimate = scale * float(np.mean(per_trial))
     if trials >= 2:

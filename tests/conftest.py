@@ -1,4 +1,3 @@
-import numpy as np
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -8,25 +7,3 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("det")
-
-
-def fd_grad(f, x, eps=1e-5):
-    """Central finite-difference gradient of a scalar function, entry by entry."""
-    x = np.asarray(x, dtype=np.float64)
-    g = np.zeros_like(x)
-    it = np.nditer(x, flags=["multi_index"])
-    for _ in it:
-        idx = it.multi_index
-        xp = x.copy()
-        xp[idx] += eps
-        xm = x.copy()
-        xm[idx] -= eps
-        g[idx] = (f(xp) - f(xm)) / (2.0 * eps)
-    return g
-
-
-def rel_err(approx, exact):
-    approx = np.asarray(approx, dtype=np.float64)
-    exact = np.asarray(exact, dtype=np.float64)
-    scale = max(1e-12, float(np.max(np.abs(exact))))
-    return float(np.max(np.abs(approx - exact))) / scale

@@ -68,6 +68,14 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="entry 16 exceeds noise.examples = 8"):
             parse_config(MINIMAL + "noise.examples = 8\nnoise.batch_sizes = 1, 16\n")
 
+    def test_noise_examples_beyond_synthetic_set_rejected(self):
+        small = MINIMAL + "dataset.classes = 4\ndataset.per_class = 10\n"
+        with pytest.raises(ConfigError, match="noise.examples = 48 exceeds the 40"):
+            parse_config(small + "noise.examples = 48\n")
+        assert parse_config(small + "noise.examples = 40\n").noise.examples == 40
+        # the default (100) is checked when noise-bound runs
+        assert parse_config(small).noise.examples == 100
+
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*network.depht"):
             parse_config("network.depth = 8\nnetwork.depht = 9\n")

@@ -39,7 +39,7 @@ from bnlab.nn import (
 )
 from bnlab.tensor import SeededRng
 
-from conftest import fd_grad
+from finite_diff import fd_grad
 
 
 def make_bn(channels=1, components=BnComponents(), eps=1e-5, period=1):

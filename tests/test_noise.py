@@ -52,6 +52,16 @@ class TestGradientSet:
         assert_allclose(TOY.mean_gradient(), [3.0])
         assert_allclose(TOY.deviations().ravel(), [-2.0, -1.0, 0.0, 3.0])
 
+    def test_matrix_and_deviations_are_read_only(self):
+        m = SeededRng(9).generator().normal(size=(5, 3))
+        gs = GradientSet(m)
+        for arr in (gs.matrix, gs.deviations()):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        # the caller's own array is left as it was
+        assert m.flags.writeable
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(SizeError):
             GradientSet(np.zeros(3))
@@ -176,7 +186,54 @@ class TestEmpiricalNoise:
         empirical_sgd_noise(TOY, 1.0, 9, trials=4, seed=0)
 
 
+def loop_summary(matrix, lr, batch_size, trials, seed):
+    """noise_summary's fields by the plain per-trial loop, nothing shared."""
+    n = matrix.shape[0]
+    d = matrix - matrix.mean(axis=0)
+    c = float(np.mean(np.einsum("ij,ij->i", d, d)))
+    scale = lr * lr
+    fields = {
+        "noise_constant": c,
+        "bound": scale * c / batch_size,
+        "closed_form": scale * (n - batch_size) / (batch_size * n * n) * float(np.sum(d * d)),
+    }
+    for mode in ("with_replacement", "without_replacement"):
+        gen = SeededRng(seed).generator()
+        per_trial = np.empty(trials)
+        for t in range(trials):
+            if mode == "with_replacement":
+                idx = gen.integers(0, n, size=batch_size)
+            else:
+                idx = gen.permutation(n)[:batch_size]
+            diff = d[idx].mean(axis=0)
+            per_trial[t] = float(diff @ diff)
+        fields[mode] = (
+            scale * float(np.mean(per_trial)),
+            scale * float(np.std(per_trial, ddof=1)) / np.sqrt(trials),
+        )
+    return fields
+
+
 class TestNoiseSummary:
+    @pytest.mark.parametrize("lrs", [(0.1, 1.0, 0.03), (0.03, 1.0, 0.1)])
+    def test_cells_equal_the_per_trial_loop(self, lrs):
+        # one set serves every cell, as in noise-bound; cached draws and
+        # moments must give the loop's values bit for bit in any lr order
+        m = SeededRng(21).generator().normal(size=(7, 5))
+        gs = GradientSet(m)
+        for lr in lrs:
+            for b in (1, 7):
+                s = noise_summary(gs, lr=lr, batch_size=b, trials=50, seed=4)
+                ref = loop_summary(m, lr, b, trials=50, seed=4)
+                assert (s.lr, s.batch_size, s.n_examples) == (lr, b, 7)
+                assert s.noise_constant == ref["noise_constant"]
+                assert s.bound == ref["bound"]
+                assert s.closed_form == ref["closed_form"]
+                for mode in ("with_replacement", "without_replacement"):
+                    est = getattr(s, mode)
+                    assert (est.mode, est.trials) == (mode, 50)
+                    assert (est.estimate, est.std_err) == ref[mode]
+
     def test_toy_summary(self):
         s = noise_summary(TOY, lr=1.0, batch_size=2, trials=20000, seed=11)
         assert s.noise_constant == 3.5

@@ -21,7 +21,7 @@ from bnlab.tensor import (
     matmul,
 )
 
-from conftest import fd_grad
+from finite_diff import fd_grad
 
 
 def conv_bruteforce(x, k):
