@@ -293,18 +293,6 @@ def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     return rows
 
 
-def channel_grad_matrix(kernel_grad: Array) -> Array:
-    """Channel-to-channel gradient magnitudes of one convolution.
-
-    Entry [i, o] sums |kernel_grad[o, i, :, :]| over the 3x3 offsets: how
-    strongly input channel i drives output channel o's filter update.
-    """
-    kernel_grad = np.asarray(kernel_grad, dtype=np.float64)
-    if kernel_grad.ndim != 4:
-        raise DimensionError(f"expected [c_out, c_in, kh, kw], got {kernel_grad.shape}")
-    return np.abs(kernel_grad).sum(axis=(2, 3)).T
-
-
 # ---------------------------------------------------------------------------
 # class-resolved gradients at the logits
 

@@ -1,9 +1,11 @@
 """Network layers and training primitives.
 
-The centerpiece is a batch-normalization layer whose four components
-(mean subtraction, variance division, scale, shift) can be toggled
-independently, and whose batch statistics can be refreshed only every
-k-th batch (stale statistics are then reused as constants in between).
+All normalization runs through one core, norm_forward / norm_backward:
+subtract a region's mean (batch, layer, instance or group region), divide
+by its standard deviation, scale and shift, each step switchable, with
+statistics either fresh (gradients flow through them) or frozen
+(constants in backward). BatchNorm picks fresh statistics, the cached ones
+on stale batches, or the running averages in evaluation.
 
 Layers follow a plain forward/backward discipline: forward caches what
 backward needs on the layer instance, backward overwrites parameter
@@ -12,7 +14,6 @@ arrays.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -67,28 +68,6 @@ class Layer:
 # normalization
 
 
-def _region_moments(x: Array, axes: tuple[int, ...]) -> tuple[Array, Array]:
-    """Mean and population variance over the given axes (keepdims)."""
-    mean = x.mean(axis=axes, keepdims=True)
-    centered = x - mean
-    var = np.mean(centered * centered, axis=axes, keepdims=True)
-    return mean, var
-
-
-def _channel_axes(x: Array) -> tuple[tuple[int, ...], int]:
-    """Per-channel normalization region for 4-d [b, c, h, w] or 2-d [b, f]."""
-    if x.ndim == 4:
-        axes = (0, 2, 3)
-    elif x.ndim == 2:
-        axes = (0,)
-    else:
-        raise DimensionError(f"expected 2-d or 4-d input, got shape {x.shape}")
-    n = 1
-    for a in axes:
-        n *= x.shape[a]
-    return axes, n
-
-
 def _per_channel(v: Array, ndim: int) -> Array:
     """Reshape a length-c vector so it broadcasts over the channel axis."""
     return v.reshape((1, -1) + (1,) * (ndim - 2))
@@ -102,253 +81,6 @@ class BnComponents:
     use_var: bool = True
     use_gamma: bool = True
     use_beta: bool = True
-
-
-@dataclass
-class BnCache:
-    """Everything bn_backward needs; valid only for the most recent forward."""
-
-    x: Array
-    xhat: Array
-    mean: Array
-    var: Array
-    inv: Array | None
-    axes: tuple[int, ...]
-    n: int
-    fresh: bool  # statistics were computed from x (so gradients flow through them)
-    components: BnComponents
-    layer: "weakref.ref[BatchNorm]"  # weak: the layer holds this cache
-    token: int
-
-
-class BatchNorm(Layer):
-    """Per-channel batch normalization with ablatable components.
-
-    Statistics are taken over (batch, height, width) for 4-d inputs and over
-    the batch for 2-d inputs. Running averages (momentum rho) feed the
-    evaluation path. With stat_update_period = k > 1, fresh batch statistics
-    are computed only on every k-th training batch and the cached ones are
-    reused (as constants, also in backward) in between; running averages are
-    updated only on refresh batches.
-    """
-
-    def __init__(
-        self,
-        channels: int,
-        eps: float = 1e-5,
-        rho: float = 0.9,
-        period: int = 1,
-        components: BnComponents = BnComponents(),
-        name: str = "bn",
-    ):
-        if channels < 1:
-            raise DimensionError("channels must be >= 1")
-        if period < 1:
-            raise ConfigError("stat update period must be >= 1")
-        self.channels = channels
-        self.eps = float(eps)
-        self.rho = float(rho)
-        self.period = int(period)
-        self.components = components
-        self.name = name
-        self.gamma = Param(name + ".gamma", np.ones(channels))
-        self.beta = Param(name + ".beta", np.zeros(channels))
-        self.running_mean = np.zeros(channels)
-        self.running_var = np.ones(channels)
-        self.stats_initialized = False
-        self.batch_counter = 0
-        self.cached_mean: Array | None = None
-        self.cached_var: Array | None = None
-        self._serial = 0
-        self.cache: BnCache | None = None
-
-    def params(self) -> list[Param]:
-        out = []
-        if self.components.use_gamma:
-            out.append(self.gamma)
-        if self.components.use_beta:
-            out.append(self.beta)
-        return out
-
-    def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
-        if train:
-            out, self.cache = bn_forward_train(x, self, update_state=update_stats)
-            return out
-        return bn_forward_eval(x, self)
-
-    def backward(self, dout: Array) -> Array:
-        dx, dgamma, dbeta = bn_backward(dout, self.cache)
-        self.gamma.grad[...] = dgamma
-        self.beta.grad[...] = dbeta
-        return dx
-
-
-def bn_forward_train(
-    x: Array, layer: BatchNorm, *, update_state: bool = True
-) -> tuple[Array, BnCache]:
-    """Training-mode batch normalization.
-
-    Returns (output, cache). With update_state=False the arithmetic is the
-    one the next training batch would see, but no layer state changes (no
-    running-average update, no cache refresh, no counter bump) -- used by
-    read-only instruments.
-    """
-    x = as_tensor(x)
-    if x.shape[1] != layer.channels:
-        raise DimensionError(
-            f"{layer.name}: expected {layer.channels} channels, got {x.shape[1]}"
-        )
-    axes, n = _channel_axes(x)
-    if n < 2:
-        raise DegenerateBatchError(
-            f"{layer.name}: normalization region has {n} element(s); need >= 2"
-        )
-    comp = layer.components
-    refresh = layer.batch_counter % layer.period == 0
-    if refresh or layer.cached_mean is None:
-        mean, var = _region_moments(x, axes)
-        fresh = True
-    else:
-        mean = _per_channel(layer.cached_mean, x.ndim)
-        var = _per_channel(layer.cached_var, x.ndim)
-        fresh = False
-
-    centered = x - mean if comp.use_mean else x
-    if comp.use_var:
-        inv = 1.0 / np.sqrt(var + layer.eps)
-        xhat = centered * inv
-    else:
-        inv = None
-        xhat = centered
-    out = xhat
-    if comp.use_gamma:
-        out = _per_channel(layer.gamma.value, x.ndim) * out
-    if comp.use_beta:
-        out = out + _per_channel(layer.beta.value, x.ndim)
-
-    layer._serial += 1
-    cache = BnCache(
-        x=x,
-        xhat=xhat,
-        mean=mean,
-        var=var,
-        inv=inv,
-        axes=axes,
-        n=n,
-        fresh=fresh,
-        components=comp,
-        layer=weakref.ref(layer),
-        token=layer._serial,
-    )
-    if update_state:
-        if fresh:
-            layer.cached_mean = mean.reshape(-1).copy()
-            layer.cached_var = var.reshape(-1).copy()
-            layer.running_mean = (
-                layer.rho * layer.running_mean + (1.0 - layer.rho) * layer.cached_mean
-            )
-            layer.running_var = (
-                layer.rho * layer.running_var + (1.0 - layer.rho) * layer.cached_var
-            )
-            layer.stats_initialized = True
-        layer.batch_counter += 1
-    return out, cache
-
-
-def bn_forward_eval(x: Array, layer: BatchNorm) -> Array:
-    """Evaluation-mode normalization using the running statistics."""
-    x = as_tensor(x)
-    if not layer.stats_initialized:
-        raise UninitializedStatsError(
-            f"{layer.name}: no running statistics yet; run a training batch first"
-        )
-    if x.shape[1] != layer.channels:
-        raise DimensionError(
-            f"{layer.name}: expected {layer.channels} channels, got {x.shape[1]}"
-        )
-    comp = layer.components
-    out = x - _per_channel(layer.running_mean, x.ndim) if comp.use_mean else x
-    if comp.use_var:
-        out = out / np.sqrt(_per_channel(layer.running_var, x.ndim) + layer.eps)
-    if comp.use_gamma:
-        out = _per_channel(layer.gamma.value, x.ndim) * out
-    if comp.use_beta:
-        out = out + _per_channel(layer.beta.value, x.ndim)
-    return out
-
-
-def bn_backward(dout: Array, cache: BnCache) -> tuple[Array, Array, Array]:
-    """Gradients through bn_forward_train.
-
-    When the cache carries fresh statistics the gradient flows through the
-    batch mean and variance; stale (cached-period) statistics are constants.
-    Toggled-off components contribute no gradient: grad_gamma / grad_beta are
-    zero when the corresponding component is off.
-    """
-    if cache is None:
-        raise CacheMismatchError("no forward cache available")
-    layer = cache.layer()
-    if layer is None:
-        raise CacheMismatchError("the layer that made this cache no longer exists")
-    if cache.token != layer._serial:
-        raise CacheMismatchError(
-            f"{layer.name}: cache is from forward #{cache.token}, "
-            f"layer has since run forward #{layer._serial}"
-        )
-    dout = as_tensor(dout)
-    if dout.shape != cache.x.shape:
-        raise DimensionError(
-            f"upstream shape {dout.shape} does not match input {cache.x.shape}"
-        )
-    comp = cache.components
-    axes, n = cache.axes, cache.n
-    ndim = cache.x.ndim
-
-    dgamma = np.zeros(layer.channels)
-    dbeta = np.zeros(layer.channels)
-    if comp.use_beta:
-        dbeta = dout.sum(axis=axes)
-    if comp.use_gamma:
-        dgamma = (dout * cache.xhat).sum(axis=axes)
-        dxhat = dout * _per_channel(layer.gamma.value, ndim)
-    else:
-        dxhat = dout
-
-    if comp.use_var:
-        inv = cache.inv
-        if not cache.fresh:
-            dx = dxhat * inv
-        else:
-            centered_tilde = cache.x - cache.mean if comp.use_mean else cache.x
-            true_centered = cache.x - cache.mean
-            dvar = (dxhat * centered_tilde).sum(axis=axes, keepdims=True) * (
-                -0.5
-            ) * inv**3
-            dx = dxhat * inv + dvar * 2.0 * true_centered / n
-            if comp.use_mean:
-                dmean = -(dxhat.sum(axis=axes, keepdims=True)) * inv + dvar * (
-                    -2.0 / n
-                ) * true_centered.sum(axis=axes, keepdims=True)
-                dx = dx + dmean / n
-    else:
-        dx = dxhat
-        if comp.use_mean and cache.fresh:
-            dx = dx - dxhat.sum(axis=axes, keepdims=True) / n
-    return dx, dgamma, dbeta
-
-
-@dataclass
-class NormCache:
-    x: Array
-    xhat_region: Array  # in the (possibly grouped) region view
-    xhat: Array  # original shape
-    mean: Array
-    inv: Array
-    axes: tuple[int, ...]
-    n: int
-    grouping: str
-    gamma: Array | None
-    region_shape: tuple[int, ...]
 
 
 def _region_view(x: Array, grouping: str, groups: int | None):
@@ -365,9 +97,7 @@ def _region_view(x: Array, grouping: str, groups: int | None):
             if groups is None or groups < 1:
                 raise GroupingError("group normalization needs a group count >= 1")
             if c % groups != 0:
-                raise GroupingError(
-                    f"channels ({c}) not divisible by groups ({groups})"
-                )
+                raise GroupingError(f"channels ({c}) not divisible by groups ({groups})")
             xg = x.reshape(b, groups, c // groups, h, w)
             return xg, (2, 3, 4), (c // groups) * h * w
         raise GroupingError(f"unknown grouping {grouping!r}")
@@ -380,89 +110,133 @@ def _region_view(x: Array, grouping: str, groups: int | None):
     raise DimensionError(f"expected 2-d or 4-d input, got shape {x.shape}")
 
 
-def generalized_norm(
-    x: Array,
-    grouping: str,
-    gamma: Array | None = None,
-    beta: Array | None = None,
-    *,
-    groups: int | None = None,
-    eps: float = 1e-5,
-) -> tuple[Array, NormCache]:
-    """Normalize over the region named by `grouping`.
+@dataclass
+class NormCache:
+    """Everything norm_backward needs from one norm_forward."""
+
+    x: Array
+    xhat: Array  # input shape
+    mean: Array  # region shape, reduced axes kept
+    var: Array
+    inv: Array | None  # None when the variance division is off
+    axes: tuple[int, ...]
+    n: int
+    region_shape: tuple[int, ...]
+    fresh: bool  # statistics were computed from x (so gradients flow through them)
+    components: BnComponents
+    gamma: Array
+    token: int = 0
+
+
+def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch",
+                 groups: int | None = None, components: BnComponents = BnComponents(),
+                 stats: tuple[Array, Array] | None = None,
+                 eps: float = 1e-5) -> tuple[Array, NormCache]:
+    """Normalize x over the region named by `grouping`; returns (output, cache).
 
     grouping: "batch" (per channel, over batch and positions), "layer"
     (per example, over channels and positions), "instance" (per example and
     channel, over positions), or "group" (per example and channel-group).
-    gamma/beta, when given, are per-channel affine parameters. grouping
-    "batch" agrees bitwise with a fresh-statistics BatchNorm forward.
+    gamma/beta are per-channel affine parameters; `components` switches off
+    any of mean subtraction, variance division, gain and shift. With
+    stats=None the region's mean and population variance are computed from
+    x and gradients flow through them; given (mean, var), one entry per
+    region (per channel for "batch"), they are frozen: constants in
+    norm_backward, and a region may then hold a single element.
     """
     x = as_tensor(x)
     xr, axes, n = _region_view(x, grouping, groups)
-    if n < 2:
-        raise DegenerateBatchError(
-            f"{grouping} normalization region has {n} element(s); need >= 2"
-        )
-    mean, var = _region_moments(xr, axes)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat_region = (xr - mean) * inv
-    xhat = xhat_region.reshape(x.shape)
-    out = xhat
-    if gamma is not None:
-        out = _per_channel(np.asarray(gamma, dtype=np.float64), x.ndim) * out
-    if beta is not None:
-        out = out + _per_channel(np.asarray(beta, dtype=np.float64), x.ndim)
-    cache = NormCache(
-        x=x,
-        xhat_region=xhat_region,
-        xhat=xhat,
-        mean=mean,
-        inv=inv,
-        axes=axes,
-        n=n,
-        grouping=grouping,
-        gamma=None if gamma is None else np.asarray(gamma, dtype=np.float64),
-        region_shape=xr.shape,
-    )
+    if stats is None:
+        if n < 2:
+            raise DegenerateBatchError(
+                f"{grouping} normalization region has {n} element(s); need >= 2"
+            )
+        mean = xr.mean(axis=axes, keepdims=True)
+        xhat = xr - mean
+        var = np.mean(xhat * xhat, axis=axes, keepdims=True)
+    else:
+        shape = tuple(1 if a in axes else s for a, s in enumerate(xr.shape))
+        mean, var = (np.reshape(s, shape) for s in stats)
+        xhat = xr - mean if components.use_mean else None
+    # xhat and out are scaled and shifted in place: each is this call's own
+    # array, and fewer fresh arrays per call are measurably faster
+    if not components.use_mean:
+        xhat = xr.copy()
+    inv = None
+    if components.use_var:
+        inv = 1.0 / np.sqrt(var + eps)
+        xhat *= inv
+    xhat = xhat.reshape(x.shape)
+    out = _per_channel(gamma, x.ndim) * xhat if components.use_gamma else xhat.copy()
+    if components.use_beta:
+        out += _per_channel(beta, x.ndim)
+    cache = NormCache(x, xhat, mean, var, inv, axes, n, xr.shape, stats is None,
+                      components, gamma)
     return out, cache
 
 
-def generalized_norm_backward(
-    dout: Array, cache: NormCache
-) -> tuple[Array, Array | None, Array | None]:
-    """Gradients through generalized_norm: (grad_input, grad_gamma, grad_beta)."""
+def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, Array]:
+    """Gradients through norm_forward: (grad_input, grad_gamma, grad_beta).
+
+    Fresh statistics pass the gradient on through the region mean and
+    variance; frozen ones are constants. Toggled-off components contribute
+    no gradient: grad_gamma / grad_beta are zero when theirs is off.
+    """
+    if cache is None:
+        raise CacheMismatchError("no forward cache available")
     dout = as_tensor(dout)
     if dout.shape != cache.x.shape:
         raise DimensionError(
             f"upstream shape {dout.shape} does not match input {cache.x.shape}"
         )
+    comp = cache.components
     ndim = cache.x.ndim
-    affine_axes = tuple(a for a in range(ndim) if a != 1)
-    dgamma = dbeta = None
-    if cache.gamma is not None:
+    affine_axes = (0,) + tuple(range(2, ndim))
+    dgamma = np.zeros(cache.x.shape[1])
+    dbeta = np.zeros(cache.x.shape[1])
+    if comp.use_beta:
+        dbeta = dout.sum(axis=affine_axes)
+    if comp.use_gamma:
         dgamma = (dout * cache.xhat).sum(axis=affine_axes)
-        dxhat = (dout * _per_channel(cache.gamma, ndim)).reshape(cache.region_shape)
+        dxhat = dout * _per_channel(cache.gamma, ndim)
     else:
-        dxhat = dout.reshape(cache.region_shape)
-    dbeta = dout.sum(axis=affine_axes)
+        dxhat = dout
+    dxhat = dxhat.reshape(cache.region_shape)
 
-    axes, n = cache.axes, cache.n
-    xr = cache.x.reshape(cache.region_shape)
-    centered = xr - cache.mean
-    inv = cache.inv
-    dvar = (dxhat * centered).sum(axis=axes, keepdims=True) * (-0.5) * inv**3
-    dmean = -(dxhat.sum(axis=axes, keepdims=True)) * inv + dvar * (
-        -2.0 / n
-    ) * centered.sum(axis=axes, keepdims=True)
-    dx = dxhat * inv + dvar * 2.0 * centered / n + dmean / n
+    axes, n, inv = cache.axes, cache.n, cache.inv
+    if not cache.fresh:
+        dx = dxhat * inv if comp.use_var else dxhat
+    elif comp.use_var:
+        xr = cache.x.reshape(cache.region_shape)
+        centered = xr - cache.mean
+        dvar = (dxhat * (centered if comp.use_mean else xr)).sum(
+            axis=axes, keepdims=True
+        ) * (-0.5) * inv**3
+        dx = dxhat * inv + dvar * 2.0 * centered / n
+        if comp.use_mean:
+            dmean = -(dxhat.sum(axis=axes, keepdims=True)) * inv + dvar * (
+                -2.0 / n
+            ) * centered.sum(axis=axes, keepdims=True)
+            dx = dx + dmean / n
+    else:
+        dx = dxhat
+        if comp.use_mean:
+            dx = dx - dxhat.sum(axis=axes, keepdims=True) / n
     return dx.reshape(cache.x.shape), dgamma, dbeta
 
 
 class GeneralizedNorm(Layer):
-    """Layer wrapper for generalized_norm with per-channel affine parameters."""
+    """Normalization over the region named by `grouping` (see norm_forward)
+    with per-channel gamma and beta, statistics always fresh: layer,
+    instance or group norm. BatchNorm adds running and stale statistics and
+    the ablations to the "batch" region."""
+
+    components = BnComponents()
 
     def __init__(self, channels: int, grouping: str, groups: int | None = None,
                  eps: float = 1e-5, name: str = "norm"):
+        if channels < 1:
+            raise DimensionError("channels must be >= 1")
         self.channels = channels
         self.grouping = grouping
         self.groups = groups
@@ -475,18 +249,93 @@ class GeneralizedNorm(Layer):
     def params(self) -> list[Param]:
         return [self.gamma, self.beta]
 
-    def forward(self, x, train=True, update_stats=True):
-        out, self.cache = generalized_norm(
-            x, self.grouping, self.gamma.value, self.beta.value,
-            groups=self.groups, eps=self.eps,
+    def _normalize(self, x: Array, stats=None) -> tuple[Array, NormCache]:
+        x = as_tensor(x)
+        if x.ndim < 2 or x.shape[1] != self.channels:
+            raise DimensionError(
+                f"{self.name}: expected {self.channels} channels, got shape {x.shape}"
+            )
+        return norm_forward(
+            x, self.gamma.value, self.beta.value, grouping=self.grouping,
+            groups=self.groups, components=self.components, stats=stats, eps=self.eps,
         )
+
+    def forward(self, x, train=True, update_stats=True):
+        out, self.cache = self._normalize(x)
         return out
 
     def backward(self, dout):
-        dx, dgamma, dbeta = generalized_norm_backward(dout, self.cache)
+        dx, dgamma, dbeta = norm_backward(dout, self.cache)
         self.gamma.grad[...] = dgamma
         self.beta.grad[...] = dbeta
         return dx
+
+
+class BatchNorm(GeneralizedNorm):
+    """Per-channel batch normalization with ablatable components.
+
+    Statistics are taken over (batch, height, width) for 4-d inputs and over
+    the batch for 2-d inputs. Running averages (momentum rho) are the frozen
+    statistics of the evaluation path, which leaves the training cache
+    alone. With period = k > 1, fresh batch statistics are computed only on
+    every k-th training batch and the cached ones are reused, frozen, in
+    between; running averages are updated only on refresh batches. A
+    training forward with update_stats=False changes no state (no running
+    average, cache refresh or counter bump) -- used by read-only instruments.
+    """
+
+    def __init__(self, channels: int, eps: float = 1e-5, rho: float = 0.9,
+                 period: int = 1, components: BnComponents = BnComponents(),
+                 name: str = "bn"):
+        super().__init__(channels, "batch", eps=eps, name=name)
+        if period < 1:
+            raise ConfigError("stat update period must be >= 1")
+        self.rho = float(rho)
+        self.period = int(period)
+        self.components = components
+        self.running_mean = np.zeros(channels)
+        self.running_var = np.ones(channels)
+        self.stats_initialized = False
+        self.batch_counter = 0
+        self.cached_mean: Array | None = None
+        self.cached_var: Array | None = None
+        self._serial = 0
+
+    def params(self) -> list[Param]:
+        on = (self.components.use_gamma, self.components.use_beta)
+        return [p for p, keep in zip((self.gamma, self.beta), on) if keep]
+
+    def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
+        if not train:
+            if not self.stats_initialized:
+                raise UninitializedStatsError(
+                    f"{self.name}: no running statistics yet; run a training batch first"
+                )
+            return self._normalize(x, (self.running_mean, self.running_var))[0]
+        stale = self.batch_counter % self.period != 0 and self.cached_mean is not None
+        stats = (self.cached_mean, self.cached_var) if stale else None
+        out, cache = self._normalize(x, stats)
+        self._serial += 1
+        cache.token = self._serial
+        self.cache = cache
+        if update_stats:
+            if cache.fresh:
+                rho = self.rho
+                mean, var = cache.mean.reshape(-1).copy(), cache.var.reshape(-1).copy()
+                self.cached_mean, self.cached_var = mean, var
+                self.running_mean = rho * self.running_mean + (1.0 - rho) * mean
+                self.running_var = rho * self.running_var + (1.0 - rho) * var
+                self.stats_initialized = True
+            self.batch_counter += 1
+        return out
+
+    def backward(self, dout: Array) -> Array:
+        if self.cache is not None and self.cache.token != self._serial:
+            raise CacheMismatchError(
+                f"{self.name}: cache is from forward #{self.cache.token}, "
+                f"layer has since run forward #{self._serial}"
+            )
+        return super().backward(dout)
 
 
 # ---------------------------------------------------------------------------

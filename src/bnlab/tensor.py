@@ -88,17 +88,6 @@ def init_tensor(shape: tuple[int, ...], scheme: InitScheme, rng: SeededRng) -> A
     return rng.generator().normal(0.0, std, size=shape)
 
 
-def matmul(a: Array, b: Array) -> Array:
-    """Matrix product of two 2-d tensors."""
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} @ {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"inner dims disagree: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def _padded(x: Array) -> tuple[Array, int]:
     """Images end to end on one zero-padded grid: ([c, w + 2 + n + w + 2], n).
 

@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bnlab.diagnostics import (
     RATIO_SATURATION,
     DivergenceMonitor,
-    channel_grad_matrix,
     channel_gradients,
     channel_moments,
     class_grad_heatmap,
@@ -256,30 +255,6 @@ class TestSignCoherence:
         for r in sign_coherence(net, x, y):
             if r.net_abs > r.abs_sum / RATIO_SATURATION:
                 assert_allclose(r.ratio, r.abs_sum / r.net_abs, rtol=1e-12)
-
-
-class TestChannelGradMatrix:
-    def test_zeros(self):
-        assert_array_equal(channel_grad_matrix(np.zeros((3, 2, 3, 3))), np.zeros((2, 3)))
-
-    def test_single_entry(self):
-        gk = np.zeros((3, 2, 3, 3))
-        gk[1, 0, 2, 2] = -4.0
-        m = channel_grad_matrix(gk)
-        expect = np.zeros((2, 3))
-        expect[0, 1] = 4.0
-        assert_array_equal(m, expect)
-
-    def test_sums_absolute_offsets(self):
-        gk = SeededRng(7).generator().normal(size=(3, 2, 3, 3))
-        m = channel_grad_matrix(gk)
-        for i in range(2):
-            for o in range(3):
-                assert_allclose(m[i, o], np.abs(gk[o, i]).sum(), rtol=1e-15)
-
-    def test_shape_checked(self):
-        with pytest.raises(DimensionError):
-            channel_grad_matrix(np.zeros((3, 3)))
 
 
 class TestClassGradHeatmap:

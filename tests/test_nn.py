@@ -28,12 +28,9 @@ from bnlab.nn import (
     Param,
     ResidualBlock,
     SgdState,
-    bn_backward,
-    bn_forward_eval,
-    bn_forward_train,
     build_network,
-    generalized_norm,
-    generalized_norm_backward,
+    norm_backward,
+    norm_forward,
     sgd_step,
     softmax_xent,
 )
@@ -46,6 +43,10 @@ def make_bn(channels=1, components=BnComponents(), eps=1e-5, period=1):
     return BatchNorm(channels, eps=eps, period=period, components=components)
 
 
+def _per(v):
+    return v.reshape(1, -1, 1, 1)
+
+
 class TestBnForward:
     def test_hand_example(self):
         # one channel holding {1, 2, 3, 4}, gamma 2, beta 1
@@ -53,7 +54,7 @@ class TestBnForward:
         layer.gamma.value[:] = 2.0
         layer.beta.value[:] = 1.0
         x = np.array([[1.0], [2.0], [3.0], [4.0]])
-        out, _ = bn_forward_train(x, layer)
+        out = layer.forward(x)
         inv = 1.0 / math.sqrt(1.25 + 1e-5)
         expect = 2.0 * (x - 2.5) * inv + 1.0
         assert_allclose(out, expect, rtol=1e-15)
@@ -65,20 +66,21 @@ class TestBnForward:
         layer = make_bn()
         layer.beta.value[:] = 0.25
         x = np.full((12, 1), 3.0)
-        out, _ = bn_forward_train(x, layer)
+        out = layer.forward(x)
         assert_array_equal(out, np.full((12, 1), 0.25))
 
     def test_all_components_off_is_identity(self):
         off = BnComponents(False, False, False, False)
         layer = make_bn(2, components=off)
         x = SeededRng(0).generator().normal(size=(3, 2, 4, 4))
-        out, _ = bn_forward_train(x, layer)
+        out = layer.forward(x)
         assert_array_equal(out, x)
 
     def test_normalized_moments(self):
         layer = make_bn(3)
         x = SeededRng(1).generator().normal(2.0, 3.0, size=(8, 3, 5, 5))
-        _, cache = bn_forward_train(x, layer)
+        layer.forward(x)
+        cache = layer.cache
         means = cache.xhat.mean(axis=(0, 2, 3))
         var = cache.xhat.var(axis=(0, 2, 3))
         sigma2 = x.var(axis=(0, 2, 3))
@@ -88,13 +90,13 @@ class TestBnForward:
     def test_degenerate_region(self):
         layer = make_bn(2)
         with pytest.raises(DegenerateBatchError):
-            bn_forward_train(np.zeros((1, 2)), layer)
+            layer.forward(np.zeros((1, 2)))
         with pytest.raises(DegenerateBatchError):
-            bn_forward_train(np.zeros((1, 2, 1, 1)), layer)
+            layer.forward(np.zeros((1, 2, 1, 1)))
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
-            bn_forward_train(np.zeros((4, 3)), make_bn(2))
+            make_bn(2).forward(np.zeros((4, 3)))
 
     @given(
         st.integers(2, 6),
@@ -109,7 +111,8 @@ class TestBnForward:
         layer = make_bn(c)
         gen = SeededRng(seed).generator()
         x = gen.normal(gen.uniform(-5, 5), gen.uniform(0.1, 4), size=(b, c, hw, hw))
-        _, cache = bn_forward_train(x, layer)
+        layer.forward(x)
+        cache = layer.cache
         assert np.max(np.abs(cache.xhat.mean(axis=(0, 2, 3)))) < 1e-8
         sigma2 = x.var(axis=(0, 2, 3))
         assert_allclose(
@@ -124,28 +127,47 @@ class TestBnEval:
         layer.running_var[:] = 1.0
         layer.stats_initialized = True
         x = SeededRng(2).generator().normal(size=(5, 2, 3, 3))
-        out = bn_forward_eval(x, layer)
+        out = layer.forward(x, train=False)
         assert_allclose(out, x / np.sqrt(1.0 + layer.eps), rtol=1e-15)
 
     def test_uninitialized_error(self):
         with pytest.raises(UninitializedStatsError):
-            bn_forward_eval(np.zeros((4, 1)), make_bn())
+            make_bn().forward(np.zeros((4, 1)), train=False)
 
     def test_running_average_update(self):
         layer = make_bn(1, eps=0.0)
         x1 = np.array([[1.0], [3.0]])  # mean 2, var 1
         x2 = np.array([[4.0], [8.0]])  # mean 6, var 4
-        bn_forward_train(x1, layer)
+        layer.forward(x1)
         assert_allclose(layer.running_mean, 0.9 * 0.0 + 0.1 * 2.0)
         assert_allclose(layer.running_var, 0.9 * 1.0 + 0.1 * 1.0)
-        bn_forward_train(x2, layer)
+        layer.forward(x2)
         assert_allclose(layer.running_mean, 0.9 * 0.2 + 0.1 * 6.0)
         assert_allclose(layer.running_var, 0.9 * 1.0 + 0.1 * 4.0)
+
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_eval_between_forward_and_backward_changes_nothing(self, period):
+        gen = SeededRng(16).generator()
+        x0, x, x_eval = (gen.normal(size=(4, 2, 3, 3)) for _ in range(3))
+        up = gen.normal(size=x.shape)
+        grads = []
+        for interleave in (False, True):
+            layer = make_bn(2, period=period)
+            layer.forward(x0)
+            layer.forward(x)
+            cache = layer.cache
+            if interleave:
+                layer.forward(x_eval, train=False)
+                assert layer.cache is cache
+            dx = layer.backward(up)
+            grads.append((dx, layer.gamma.grad.copy(), layer.beta.grad.copy()))
+        for ref, got in zip(*grads):
+            assert_array_equal(got, ref)
 
     def test_non_mutating_forward_leaves_state(self):
         layer = make_bn(1)
         x = np.array([[1.0], [5.0]])
-        bn_forward_train(x, layer, update_state=False)
+        layer.forward(x, update_stats=False)
         assert not layer.stats_initialized
         assert layer.batch_counter == 0
 
@@ -156,18 +178,18 @@ class TestBnBackward:
         gen = SeededRng(3).generator()
         x = gen.normal(size=(4, 2, 3, 3))
         up = gen.normal(size=(4, 2, 3, 3))
-        _, cache = bn_forward_train(x, layer)
-        _, _, dbeta = bn_backward(up, cache)
-        assert_allclose(dbeta, up.sum(axis=(0, 2, 3)), rtol=1e-12)
+        layer.forward(x)
+        layer.backward(up)
+        assert_allclose(layer.beta.grad, up.sum(axis=(0, 2, 3)), rtol=1e-12)
 
     def test_zero_upstream(self):
         layer = make_bn(2)
         x = SeededRng(4).generator().normal(size=(4, 2, 3, 3))
-        _, cache = bn_forward_train(x, layer)
-        dx, dgamma, dbeta = bn_backward(np.zeros_like(x), cache)
+        layer.forward(x)
+        dx = layer.backward(np.zeros_like(x))
         assert_array_equal(dx, np.zeros_like(x))
-        assert_array_equal(dgamma, np.zeros(2))
-        assert_array_equal(dbeta, np.zeros(2))
+        assert_array_equal(layer.gamma.grad, np.zeros(2))
+        assert_array_equal(layer.beta.grad, np.zeros(2))
 
     @pytest.mark.parametrize(
         "comp", list(itertools.product([False, True], repeat=4))
@@ -181,11 +203,12 @@ class TestBnBackward:
         x = gen.normal(1.0, 2.0, size=(3, 2, 2, 2))
         proj = gen.normal(size=(3, 2, 2, 2))
 
-        out, cache = bn_forward_train(x, layer, update_state=False)
-        dx, dgamma, dbeta = bn_backward(proj, cache)
+        layer.forward(x, update_stats=False)
+        dx = layer.backward(proj)
+        dgamma, dbeta = layer.gamma.grad.copy(), layer.beta.grad.copy()
 
         def f_x(v):
-            o, _ = bn_forward_train(v, layer, update_state=False)
+            o = layer.forward(v, update_stats=False)
             return float(np.sum(o * proj))
 
         assert_allclose(dx, fd_grad(f_x, x), rtol=1e-6, atol=1e-8)
@@ -193,14 +216,14 @@ class TestBnBackward:
         def f_gamma(g):
             old = layer.gamma.value.copy()
             layer.gamma.value[...] = g
-            o, _ = bn_forward_train(x, layer, update_state=False)
+            o = layer.forward(x, update_stats=False)
             layer.gamma.value[...] = old
             return float(np.sum(o * proj))
 
         def f_beta(bv):
             old = layer.beta.value.copy()
             layer.beta.value[...] = bv
-            o, _ = bn_forward_train(x, layer, update_state=False)
+            o = layer.forward(x, update_stats=False)
             layer.beta.value[...] = old
             return float(np.sum(o * proj))
 
@@ -211,18 +234,24 @@ class TestBnBackward:
         layer = make_bn(2, components=BnComponents(use_gamma=False, use_beta=False))
         gen = SeededRng(6).generator()
         x = gen.normal(size=(4, 2, 3, 3))
-        _, cache = bn_forward_train(x, layer)
-        _, dgamma, dbeta = bn_backward(gen.normal(size=x.shape), cache)
-        assert_array_equal(dgamma, np.zeros(2))
-        assert_array_equal(dbeta, np.zeros(2))
+        layer.gamma.grad[:] = 1.0
+        layer.beta.grad[:] = 1.0
+        layer.forward(x)
+        layer.backward(gen.normal(size=x.shape))
+        assert_array_equal(layer.gamma.grad, np.zeros(2))
+        assert_array_equal(layer.beta.grad, np.zeros(2))
 
     def test_stale_cache_rejected(self):
         layer = make_bn(1)
         x = SeededRng(7).generator().normal(size=(4, 1))
-        _, cache1 = bn_forward_train(x, layer)
-        bn_forward_train(x + 1.0, layer)
+        layer.forward(x)
+        cache1 = layer.cache
+        layer.forward(x + 1.0)
+        layer.cache = cache1
         with pytest.raises(CacheMismatchError):
-            bn_backward(np.ones_like(x), cache1)
+            layer.backward(np.ones_like(x))
+        with pytest.raises(CacheMismatchError):
+            make_bn(1).backward(np.ones_like(x))
 
     def test_dropped_network_frees_bn_layers_without_collector(self):
         cfg = NetworkConfig(depth=20, kind="conv", width=12, class_count=10,
@@ -247,8 +276,10 @@ class TestBnPeriod:
         gen = SeededRng(8).generator()
         x1 = gen.normal(size=(4, 2, 3, 3))
         x2 = gen.normal(3.0, 2.0, size=(4, 2, 3, 3))
-        _, c1 = bn_forward_train(x1, layer)
-        out2, c2 = bn_forward_train(x2, layer)
+        layer.forward(x1)
+        c1 = layer.cache
+        out2 = layer.forward(x2)
+        c2 = layer.cache
         assert c2.fresh is False
         assert_array_equal(c2.mean.ravel(), c1.mean.ravel())
         assert_array_equal(c2.var.ravel(), c1.var.ravel())
@@ -257,33 +288,33 @@ class TestBnPeriod:
         assert_array_equal(out2, (x2 - c1.mean) * inv)
         # third batch refreshes
         x3 = gen.normal(size=(4, 2, 3, 3))
-        _, c3 = bn_forward_train(x3, layer)
-        assert c3.fresh is True
+        layer.forward(x3)
+        assert layer.cache.fresh is True
 
     def test_running_stats_update_only_on_refresh(self):
         layer = make_bn(1, period=3)
         gen = SeededRng(9).generator()
-        bn_forward_train(gen.normal(size=(8, 1)), layer)
+        layer.forward(gen.normal(size=(8, 1)))
         after_first = (layer.running_mean.copy(), layer.running_var.copy())
-        bn_forward_train(gen.normal(size=(8, 1)), layer)
-        bn_forward_train(gen.normal(size=(8, 1)), layer)
+        layer.forward(gen.normal(size=(8, 1)))
+        layer.forward(gen.normal(size=(8, 1)))
         assert_array_equal(layer.running_mean, after_first[0])
         assert_array_equal(layer.running_var, after_first[1])
-        bn_forward_train(gen.normal(size=(8, 1)), layer)  # batch 4: refresh
+        layer.forward(gen.normal(size=(8, 1)))  # batch 4: refresh
         assert not np.array_equal(layer.running_mean, after_first[0])
 
     def test_stale_statistics_are_constants_in_backward(self):
         layer = make_bn(2, period=2)
         gen = SeededRng(10).generator()
-        bn_forward_train(gen.normal(size=(3, 2, 2, 2)), layer)
+        layer.forward(gen.normal(size=(3, 2, 2, 2)))
         x = gen.normal(size=(3, 2, 2, 2))
         proj = gen.normal(size=(3, 2, 2, 2))
-        out, cache = bn_forward_train(x, layer, update_state=False)
-        assert cache.fresh is False
-        dx, _, _ = bn_backward(proj, cache)
+        layer.forward(x, update_stats=False)
+        assert layer.cache.fresh is False
+        dx = layer.backward(proj)
 
         def f(v):
-            o, _ = bn_forward_train(v, layer, update_state=False)
+            o = layer.forward(v, update_stats=False)
             return float(np.sum(o * proj))
 
         assert_allclose(dx, fd_grad(f, x), rtol=1e-6, atol=1e-9)
@@ -302,25 +333,27 @@ class TestGeneralizedNorm:
         layer = make_bn(4)
         layer.gamma.value[:] = gamma
         layer.beta.value[:] = beta
-        bn_out, _ = bn_forward_train(x, layer)
-        gn_out, _ = generalized_norm(x, "batch", gamma, beta, eps=layer.eps)
+        bn_out = layer.forward(x)
+        gn_out, _ = norm_forward(x, gamma, beta, grouping="batch", eps=layer.eps)
         assert_array_equal(gn_out, bn_out)
 
     def test_group_degenerations(self):
         x, gamma, beta = self.shapes()
-        g1, _ = generalized_norm(x, "group", gamma, beta, groups=1)
-        ln, _ = generalized_norm(x, "layer", gamma, beta)
+        g1, _ = norm_forward(x, gamma, beta, grouping="group", groups=1)
+        ln, _ = norm_forward(x, gamma, beta, grouping="layer")
         assert_allclose(g1, ln, rtol=1e-12)
-        g4, _ = generalized_norm(x, "group", gamma, beta, groups=4)
-        inorm, _ = generalized_norm(x, "instance", gamma, beta)
+        g4, _ = norm_forward(x, gamma, beta, grouping="group", groups=4)
+        inorm, _ = norm_forward(x, gamma, beta, grouping="instance")
         assert_allclose(g4, inorm, rtol=1e-12)
 
     def test_region_moments(self):
-        x, _, _ = self.shapes()
-        out, _ = generalized_norm(x, "layer", eps=0.0)
+        x, gamma, beta = self.shapes()
+        no_affine = BnComponents(use_gamma=False, use_beta=False)
+        out, _ = norm_forward(x, gamma, beta, grouping="layer", components=no_affine, eps=0.0)
         assert np.max(np.abs(out.mean(axis=(1, 2, 3)))) < 1e-10
         assert_allclose(out.var(axis=(1, 2, 3)), np.ones(2), rtol=1e-10)
-        out, _ = generalized_norm(x, "instance", eps=0.0)
+        out, _ = norm_forward(x, gamma, beta, grouping="instance", components=no_affine,
+                              eps=0.0)
         assert np.max(np.abs(out.mean(axis=(2, 3)))) < 1e-10
 
     @pytest.mark.parametrize("grouping", ["batch", "layer", "instance", "group"])
@@ -329,19 +362,19 @@ class TestGeneralizedNorm:
         groups = 2 if grouping == "group" else None
         proj = SeededRng(12).generator().normal(size=x.shape)
 
-        out, cache = generalized_norm(x, grouping, gamma, beta, groups=groups)
-        dx, dgamma, dbeta = generalized_norm_backward(proj, cache)
+        out, cache = norm_forward(x, gamma, beta, grouping=grouping, groups=groups)
+        dx, dgamma, dbeta = norm_backward(proj, cache)
 
         def f_x(v):
-            o, _ = generalized_norm(v, grouping, gamma, beta, groups=groups)
+            o, _ = norm_forward(v, gamma, beta, grouping=grouping, groups=groups)
             return float(np.sum(o * proj))
 
         def f_g(g):
-            o, _ = generalized_norm(x, grouping, g, beta, groups=groups)
+            o, _ = norm_forward(x, g, beta, grouping=grouping, groups=groups)
             return float(np.sum(o * proj))
 
         def f_b(bv):
-            o, _ = generalized_norm(x, grouping, gamma, bv, groups=groups)
+            o, _ = norm_forward(x, gamma, bv, grouping=grouping, groups=groups)
             return float(np.sum(o * proj))
 
         assert_allclose(dx, fd_grad(f_x, x), rtol=1e-6, atol=1e-8)
@@ -350,12 +383,32 @@ class TestGeneralizedNorm:
 
     def test_grouping_errors(self):
         x = np.zeros((2, 4, 3, 3))
+        gamma, beta = np.ones(4), np.zeros(4)
         with pytest.raises(GroupingError):
-            generalized_norm(x, "group", groups=3)
+            norm_forward(x, gamma, beta, grouping="group", groups=3)
         with pytest.raises(GroupingError):
-            generalized_norm(np.zeros((4, 6)), "instance")
+            norm_forward(np.zeros((4, 6)), np.ones(6), np.zeros(6), grouping="instance")
         with pytest.raises(GroupingError):
-            generalized_norm(x, "banana")
+            norm_forward(x, gamma, beta, grouping="banana")
+
+    def test_frozen_stats_allow_single_element_regions(self):
+        x, gamma, beta = self.shapes()
+        x1 = x[:1, :, :1, :1]
+        with pytest.raises(DegenerateBatchError):
+            norm_forward(x1, gamma, beta)
+        mean, var = x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+        out, cache = norm_forward(x1, gamma, beta, stats=(mean, var))
+        expect = _per(gamma) * (x1 - _per(mean)) / np.sqrt(_per(var) + 1e-5) + _per(beta)
+        assert_allclose(out, expect, rtol=1e-14)
+        proj = SeededRng(17).generator().normal(size=x1.shape)
+        dx, _, _ = norm_backward(proj, cache)
+        assert_allclose(dx, proj * _per(gamma) / np.sqrt(_per(var) + 1e-5), rtol=1e-14)
+
+    def test_layer_channel_checks(self):
+        with pytest.raises(DimensionError):
+            GeneralizedNorm(4, "layer").forward(np.zeros((2, 6, 3, 3)))
+        with pytest.raises(DimensionError):
+            GeneralizedNorm(0, "layer")
 
     def test_layer_wrapper_roundtrip(self):
         layer = GeneralizedNorm(4, "group", groups=2)

@@ -18,7 +18,6 @@ from bnlab.tensor import (
     conv2d_summand_stats,
     gram_eigenvalues,
     init_tensor,
-    matmul,
 )
 
 from finite_diff import fd_grad
@@ -118,22 +117,6 @@ class TestInit:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             InitScheme("uniform")
-
-
-class TestMatmul:
-    def test_hand_example(self):
-        out = matmul([[1.0, 2.0], [3.0, 4.0]], [[5.0, 6.0], [7.0, 8.0]])
-        assert_array_equal(out, [[19.0, 22.0], [43.0, 50.0]])
-
-    def test_identity(self):
-        a = SeededRng(0).generator().normal(size=(4, 6))
-        assert_allclose(matmul(a, np.eye(6)), a, rtol=0, atol=0)
-
-    def test_shape_errors(self):
-        with pytest.raises(DimensionError):
-            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
-        with pytest.raises(DimensionError):
-            matmul(np.zeros(3), np.zeros((3, 2)))
 
 
 class TestConvForward:
