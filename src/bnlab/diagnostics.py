@@ -5,7 +5,8 @@ Every instrument here is read-only: it may run extra forward/backward passes
 of which training recomputes from scratch each step), but it never changes
 parameter values, normalization statistics, or counters. A training run with
 instruments attached therefore follows a bit-identical parameter trajectory
-to one without.
+to one without. INSTRUMENTS, at the end, gives each scheduled instrument
+its one table.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, LabelError, SizeError
-from .nn import Conv3x3, Network, softmax_xent
+from .nn import Conv3x3, Network, Tap, softmax_xent
 from .tensor import Array, conv2d_summand_stats
 
 RATIO_SATURATION = 1e12
@@ -65,23 +66,22 @@ def channel_moments(acts: Array) -> tuple[Array, Array]:
 
 
 def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
-    """Moments at the network's moment taps on one batch, in depth order.
+    """Moments of each profiled tap's output on one batch, in depth order.
 
-    Each tap reads the tensor feeding a normalizer (normalized layers) or a
+    Each profiled layer's output feeds a normalizer (normalized layers) or a
     ReLU (unnormalized layers), so growth with depth is visible even when a
     normalizer would wipe it out one line later. A convolution that feeds
     neither — the second convolution of an unnormalized residual block,
-    which feeds the shortcut sum — has no tap of its own; the trunk it
+    which feeds the shortcut sum — is not profiled; the trunk it
     contributes to is read where it next meets a ReLU. Runs its own forward
     pass; no state changes.
     """
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         net.forward(x, train=True, update_stats=False)
-    rows = []
-    for label, producer in net.moment_taps:
-        means, variances = channel_moments(producer())
-        rows.append(LayerMoments(label, means, variances))
-    return MomentProfile(tuple(rows))
+    return MomentProfile(tuple(
+        LayerMoments(t.label, *channel_moments(t.layer.last_out))
+        for t in net.taps if t.profiled
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +258,10 @@ class CoherenceRow:
     ratio: float
 
 
+def _conv_taps(net: Network) -> list[Tap]:
+    return [t for t in net.taps if isinstance(t.layer, Conv3x3)]
+
+
 def _saturated_ratio(a: float, b: float) -> float:
     if a == 0.0:
         return 1.0
@@ -274,15 +278,13 @@ def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     """
     net.loss_and_grad(x, labels, update_stats=False)
     rows = []
-    for label, layer in net.taps:
-        if not isinstance(layer, Conv3x3):
-            continue
-        s = conv2d_summand_stats(layer.last_upstream, layer.last_in)
+    for t in _conv_taps(net):
+        s = conv2d_summand_stats(t.layer.last_upstream, t.layer.last_in)
         a = float(s.abs_sum.mean())
         b = float(np.abs(s.total).mean())
         rows.append(
             CoherenceRow(
-                layer=label,
+                layer=t.label,
                 abs_sum=a,
                 net_abs=b,
                 batch_partial=float(s.batch_partial.mean()),
@@ -403,16 +405,15 @@ def mean_vs_grad_pairs(net: Network, x: Array, labels: Array) -> list[MeanGradPa
     """
     net.loss_and_grad(x, labels, update_stats=False)
     pairs = []
-    for label, conv, producer in net.mv_taps:
-        feed = producer()
-        means = feed.mean(axis=(0, 2, 3))
-        mags = np.abs(conv.kernel.grad).mean(axis=(2, 3))  # [c_out, c_in]
+    for t in _conv_taps(net):
+        means = t.feed().mean(axis=(0, 2, 3))
+        mags = np.abs(t.layer.kernel.grad).mean(axis=(2, 3))  # [c_out, c_in]
         c_out, c_in = mags.shape
         for ci in range(c_in):
             for co in range(c_out):
                 pairs.append(
                     MeanGradPair(
-                        layer=label,
+                        layer=t.label,
                         in_channel=ci,
                         out_channel=co,
                         input_mean=float(means[ci]),
@@ -438,10 +439,76 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
     """
     net.loss_and_grad(x, labels, update_stats=False)
     rows = []
-    for label, layer in net.taps:
-        if not isinstance(layer, Conv3x3):
-            continue
-        sums = layer.last_upstream.sum(axis=(0, 2, 3))
+    for t in _conv_taps(net):
+        sums = t.layer.last_upstream.sum(axis=(0, 2, 3))
         for c, v in enumerate(sums):
-            rows.append(ChannelGradient(layer=label, channel=c, value=float(abs(v))))
+            rows.append(ChannelGradient(layer=t.label, channel=c, value=float(abs(v))))
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the instrument registry
+
+# log-spaced step sizes for the loss probe; 0 is prepended (exact baseline)
+PROBE_ALPHAS = tuple([0.0] + list(np.geomspace(1e-5, 10.0, 25)))
+
+
+def _kernel_histograms(net: Network, batch) -> list[tuple[str, GradientHistogramStats]]:
+    """Distribution shape of each convolution kernel's gradient, from one
+    backward pass of its own over the batch."""
+    net.loss_and_grad(*batch, update_stats=False)
+    return [(p.name, gradient_histogram_stats(p.grad)) for p in net.params() if p.value.ndim == 4]
+
+
+# name -> (columns, measure(net, batch) -> result, rows(result)): each
+# instrument's one table. Training puts a step column in front of it, the
+# analysis subcommands write it for the initial network and batch, and
+# divergence capture writes the moments rows with a fraction column in
+# front. Config keys diagnostics.<name> fire in this order. The measures
+# call the instruments through this module's names, so rebinding a name
+# here reaches every caller.
+INSTRUMENTS = {
+    "moments": (
+        ("layer", "mean_abs_mean", "mean_variance"),
+        lambda net, batch: depth_moment_profile(net, batch[0]),
+        lambda prof: [(m.label, m.mean_abs_mean, m.mean_variance) for m in prof.layers],
+    ),
+    "histogram": (
+        ("layer", "mean", "std", "excess_kurtosis", "tail_ratio", "max_abs"),
+        _kernel_histograms,
+        lambda hists: [(name, s.mean, s.std, s.excess_kurtosis, s.tail_ratio, s.max_abs)
+                       for name, s in hists],
+    ),
+    "coherence": (
+        ("layer", "abs_sum", "batch_partial", "spatial_partial", "net_abs", "ratio"),
+        lambda net, batch: sign_coherence(net, *batch),
+        lambda rows: [(r.layer, r.abs_sum, r.batch_partial, r.spatial_partial, r.net_abs, r.ratio)
+                      for r in rows],
+    ),
+    "heatmap": (
+        ("modal_column", "dominant_fraction"),
+        lambda net, batch: class_grad_heatmap(net, *batch),
+        lambda h: [(h.modal_column, h.dominant_fraction)],
+    ),
+    "probe": (
+        ("alpha", "relative_loss", "finite"),
+        lambda net, batch: loss_step_probe(net, batch, PROBE_ALPHAS),
+        lambda c: [(float(a), float(r), int(f)) for a, r, f in zip(c.alphas, c.relative, c.finite)],
+    ),
+    "classwise": (
+        ("class_index", "grad_norm"),
+        lambda net, batch: classwise_gradient_split(net, *batch),
+        lambda parts: [(p.class_index, float(np.linalg.norm(p.flat))) for p in parts],
+    ),
+    "mean_grad": (
+        ("layer", "in_channel", "out_channel", "input_mean", "grad_mag"),
+        lambda net, batch: mean_vs_grad_pairs(net, *batch),
+        lambda pairs: [(p.layer, p.in_channel, p.out_channel, p.input_mean, p.grad_mag)
+                       for p in pairs],
+    ),
+    "channel_grads": (
+        ("layer", "channel", "value"),
+        lambda net, batch: channel_gradients(net, *batch),
+        lambda rows: [(r.layer, r.channel, r.value) for r in rows],
+    ),
+}

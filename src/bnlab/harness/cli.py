@@ -15,26 +15,15 @@ import sys
 
 import numpy as np
 
-from ..diagnostics import (
-    class_grad_heatmap,
-    depth_moment_profile,
-    loss_step_probe,
-    sign_coherence,
-)
+# depth_moment_profile is re-exported: bench/ looks it up here
+from ..diagnostics import INSTRUMENTS, depth_moment_profile  # noqa: F401
 from ..errors import BnlabError, ConfigError
 from ..nn import build_network
 from ..noise import noise_summary, per_example_gradients
 from ..rmt import FussCatalanDensity, condition_report, ks_distance, sample_product_spectrum
 from ..tensor import SeededRng
 from .config import ExperimentConfig, parse_config_file
-from .run import (
-    PROBE_ALPHAS,
-    _write_json,
-    emit,
-    load_dataset,
-    run_experiment,
-    write_csv,
-)
+from .run import _write_json, emit, load_dataset, run_experiment, write_csv
 
 
 def _init_state(cfg: ExperimentConfig):
@@ -59,63 +48,33 @@ def _cmd_train(cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def _cmd_probe_loss(cfg: ExperimentConfig, out: str) -> int:
-    net, batch, _, _ = _init_state(cfg)
-    curve = loss_step_probe(net, batch, PROBE_ALPHAS)
-    rows = [
-        (float(a), float(r), int(f))
-        for a, r, f in zip(curve.alphas, curve.relative, curve.finite)
-    ]
-    write_csv(os.path.join(out, "probe.csv"), ("alpha", "relative_loss", "finite"), rows)
-    return 0
+def _analysis(name: str, filename: str, extra=None):
+    """A subcommand that writes instrument `name`'s table for the network
+    and batch a sweep's first leg starts from: the step-0 rows of that
+    instrument in `train`, without the step column. extra(result, out)
+    adds what only the subcommand reports."""
+
+    def command(cfg: ExperimentConfig, out: str) -> int:
+        net, batch, _, _ = _init_state(cfg)
+        columns, measure, rows = INSTRUMENTS[name]
+        result = measure(net, batch)
+        write_csv(os.path.join(out, filename), columns, rows(result))
+        if extra is not None:
+            extra(result, out)
+        return 0
+
+    return command
 
 
-def _cmd_init_moments(cfg: ExperimentConfig, out: str) -> int:
-    net, batch, _, _ = _init_state(cfg)
-    prof = depth_moment_profile(net, batch[0])
-    rows = [(lm.label, lm.mean_abs_mean, lm.mean_variance) for lm in prof.layers]
-    write_csv(
-        os.path.join(out, "moments.csv"),
-        ("layer", "mean_abs_mean", "mean_variance"),
-        rows,
-    )
+def _print_variance_ratio(prof, out: str) -> None:
     print(f"variance ratio last/first: {prof.variance_ratio():.6g}")
-    return 0
 
 
-def _cmd_coherence(cfg: ExperimentConfig, out: str) -> int:
-    net, batch, _, _ = _init_state(cfg)
-    rows = [
-        (r.layer, r.abs_sum, r.batch_partial, r.spatial_partial, r.net_abs, r.ratio)
-        for r in sign_coherence(net, batch[0], batch[1])
-    ]
-    write_csv(
-        os.path.join(out, "coherence.csv"),
-        ("layer", "abs_sum", "batch_partial", "spatial_partial", "net_abs", "ratio"),
-        rows,
-    )
-    return 0
-
-
-def _cmd_class_heatmap(cfg: ExperimentConfig, out: str) -> int:
-    net, batch, _, _ = _init_state(cfg)
-    h = class_grad_heatmap(net, batch[0], batch[1])
-    rows = [
-        (i, int(h.labels[i]), *[float(v) for v in h.matrix[i]])
-        for i in range(h.matrix.shape[0])
-    ]
-    k = h.matrix.shape[1]
-    write_csv(
-        os.path.join(out, "heatmap.csv"),
-        ("example", "label", *[f"class_{j}" for j in range(k)]),
-        rows,
-    )
-    write_csv(
-        os.path.join(out, "heatmap_stats.csv"),
-        ("modal_column", "dominant_fraction"),
-        [(h.modal_column, h.dominant_fraction)],
-    )
-    return 0
+def _write_heatmap_matrix(h, out: str) -> None:
+    classes = [f"class_{j}" for j in range(h.matrix.shape[1])]
+    rows = [(i, int(label), *map(float, row))
+            for i, (label, row) in enumerate(zip(h.labels, h.matrix))]
+    write_csv(os.path.join(out, "heatmap.csv"), ("example", "label", *classes), rows)
 
 
 def _cmd_rmt_density(cfg: ExperimentConfig, out: str) -> int:
@@ -206,14 +165,14 @@ def _cmd_noise_bound(cfg: ExperimentConfig, out: str) -> int:
 
 _DISPATCH = {
     "train": _cmd_train,
-    "probe-loss": _cmd_probe_loss,
+    "probe-loss": _analysis("probe", "probe.csv"),
     "rmt-density": _cmd_rmt_density,
     "rmt-spectrum": _cmd_rmt_spectrum,
     "rmt-condition": _cmd_rmt_condition,
     "noise-bound": _cmd_noise_bound,
-    "init-moments": _cmd_init_moments,
-    "coherence": _cmd_coherence,
-    "class-heatmap": _cmd_class_heatmap,
+    "init-moments": _analysis("moments", "moments.csv", _print_variance_ratio),
+    "coherence": _analysis("coherence", "coherence.csv"),
+    "class-heatmap": _analysis("heatmap", "heatmap_stats.csv", _write_heatmap_matrix),
 }
 
 

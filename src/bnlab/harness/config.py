@@ -17,23 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..diagnostics import INSTRUMENTS
 from ..errors import ConfigError
 from ..nn import BnComponents, NetworkConfig
 from ..tensor import HE, XAVIER
 
 # the canonical sweep used when a config says `train.lr_sweep = standard`
 STANDARD_SWEEP = (0.1, 0.003, 0.001, 0.0003, 0.0001, 0.00003)
-
-INSTRUMENTS = (
-    "moments",
-    "histogram",
-    "coherence",
-    "heatmap",
-    "probe",
-    "classwise",
-    "mean_grad",
-    "channel_grads",
-)
 
 
 @dataclass

@@ -16,26 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..diagnostics import (
+# PROBE_ALPHAS and depth_moment_profile are re-exported: bench/ looks them up here
+from ..diagnostics import (  # noqa: F401
+    INSTRUMENTS,
+    PROBE_ALPHAS,
     DivergenceEvent,
     DivergenceMonitor,
-    class_grad_heatmap,
-    channel_gradients,
-    classwise_gradient_split,
     depth_moment_profile,
-    gradient_histogram_stats,
-    loss_step_probe,
-    mean_vs_grad_pairs,
-    sign_coherence,
 )
 from ..errors import ConfigError
 from ..nn import SgdState, build_network, sgd_step
 from ..tensor import SeededRng
 from .config import ExperimentConfig, echo_config
 from .data import LabeledImageSet, augment_batch, load_cifar10_dir, preprocess, synth_dataset
-
-# log-spaced step sizes for the loss probe; 0 is prepended (exact baseline)
-PROBE_ALPHAS = tuple([0.0] + list(np.geomspace(1e-5, 10.0, 25)))
 
 METRIC_COLUMNS = ("step", "epoch", "lr", "loss", "train_acc", "test_acc")
 
@@ -78,92 +71,6 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSe
     return train, test
 
 
-# --- scheduled instruments --------------------------------------------------
-
-
-def _moment_rows(net, batch, step):
-    prof = depth_moment_profile(net, batch[0])
-    return [
-        (step, lm.label, lm.mean_abs_mean, lm.mean_variance) for lm in prof.layers
-    ]
-
-
-def _histogram_rows(net, batch, step):
-    # distribution of the most recent backward's kernel gradients, per layer
-    rows = []
-    for layer in net.layers:
-        for p in layer.params():
-            if p.grad is None or p.value.ndim != 4:
-                continue
-            s = gradient_histogram_stats(p.grad)
-            rows.append(
-                (step, p.name, s.mean, s.std, s.excess_kurtosis, s.tail_ratio, s.max_abs)
-            )
-    return rows
-
-
-def _coherence_rows(net, batch, step):
-    x, labels = batch
-    return [
-        (step, r.layer, r.abs_sum, r.batch_partial, r.spatial_partial, r.net_abs, r.ratio)
-        for r in sign_coherence(net, x, labels)
-    ]
-
-
-def _heatmap_rows(net, batch, step):
-    h = class_grad_heatmap(net, batch[0], batch[1])
-    return [(step, h.modal_column, h.dominant_fraction)]
-
-
-def _probe_rows(net, batch, step):
-    curve = loss_step_probe(net, batch, PROBE_ALPHAS)
-    return [
-        (step, float(a), float(r), int(f))
-        for a, r, f in zip(curve.alphas, curve.relative, curve.finite)
-    ]
-
-
-def _classwise_rows(net, batch, step):
-    parts = classwise_gradient_split(net, batch[0], batch[1])
-    return [(step, p.class_index, float(np.linalg.norm(p.flat))) for p in parts]
-
-
-def _mean_grad_rows(net, batch, step):
-    pairs = mean_vs_grad_pairs(net, batch[0], batch[1])
-    return [
-        (step, p.layer, p.in_channel, p.out_channel, p.input_mean, p.grad_mag)
-        for p in pairs
-    ]
-
-
-def _channel_grad_rows(net, batch, step):
-    return [
-        (step, cg.layer, cg.channel, cg.value)
-        for cg in channel_gradients(net, batch[0], batch[1])
-    ]
-
-
-_INSTRUMENT_TABLE = {
-    "moments": (("step", "layer", "mean_abs_mean", "mean_variance"), _moment_rows),
-    "histogram": (
-        ("step", "layer", "mean", "std", "excess_kurtosis", "tail_ratio", "max_abs"),
-        _histogram_rows,
-    ),
-    "coherence": (
-        ("step", "layer", "abs_sum", "batch_partial", "spatial_partial", "net_abs", "ratio"),
-        _coherence_rows,
-    ),
-    "heatmap": (("step", "modal_column", "dominant_fraction"), _heatmap_rows),
-    "probe": (("step", "alpha", "relative_loss", "finite"), _probe_rows),
-    "classwise": (("step", "class_index", "grad_norm"), _classwise_rows),
-    "mean_grad": (
-        ("step", "layer", "in_channel", "out_channel", "input_mean", "grad_mag"),
-        _mean_grad_rows,
-    ),
-    "channel_grads": (("step", "layer", "channel", "value"), _channel_grad_rows),
-}
-
-
 # --- one sweep leg -----------------------------------------------------------
 
 
@@ -190,12 +97,13 @@ def run_leg(
         schedule=cfg.schedule,
     )
     monitor = DivergenceMonitor(net, threshold=cfg.divergence_threshold)
-    tables = {name: (cols, []) for name, (cols, _) in _INSTRUMENT_TABLE.items()
-              if name in dict(cfg.diagnostics)}
+    enabled = dict(cfg.diagnostics)
+    tables = {name: (("step", *cols), []) for name, (cols, _, _) in INSTRUMENTS.items()
+              if name in enabled}
 
     def fire(name, batch, step):
-        cols, rows = tables[name]
-        rows.extend(_INSTRUMENT_TABLE[name][1](net, batch, step))
+        _, measure, rows = INSTRUMENTS[name]
+        tables[name][1].extend((step, *row) for row in rows(measure(net, batch)))
 
     b = cfg.batch_size
     init_batch = (train.images[:b], train.labels[:b])
@@ -341,14 +249,11 @@ def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
                     "post_loss": ev.post_loss,
                     "fractions": list(ev.fractions),
                 }))
-            rows = [
-                (f, lm.label, lm.mean_abs_mean, lm.mean_variance)
-                for f, prof in zip(ev.fractions, ev.profiles)
-                for lm in prof.layers
-            ]
+            cols, _, moment_rows = INSTRUMENTS["moments"]
+            rows = [(f, *row) for f, prof in zip(ev.fractions, ev.profiles)
+                    for row in moment_rows(prof)]
             put(os.path.join(leg_dir, "divergence_moments.csv"),
-                lambda p, rows=rows: write_csv(
-                    p, ("fraction", "layer", "mean_abs_mean", "mean_variance"), rows))
+                lambda p, cols=cols, rows=rows: write_csv(p, ("fraction", *cols), rows))
 
     summary = {
         "started": artifact.started,

@@ -15,6 +15,7 @@ arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -622,27 +623,31 @@ class NetworkConfig:
             )
 
 
-class Network:
-    """A feature stack plus classifier head, with instrument taps.
+class Tap(NamedTuple):
+    """One feature layer as the instruments see it.
 
-    taps lists (label, layer) for every feature convolution / dense layer in
-    order. moment_taps lists (label, getter) for depth-profile readings: the
-    tensor feeding each normalizer (normalized layers) or each ReLU
-    (unnormalized layers), in depth order — a residual conv that feeds only
-    the shortcut sum appears in taps but not in moment_taps. mv_taps
-    additionally carries, per convolution, a getter for the tensor feeding
-    it, read before that conv's preceding ReLU when one exists (a residual
-    trunk feeds the raw block sum onward).
+    feed returns the tensor that feeds a convolution, read before the ReLU
+    in front of it (the network input for the first convolution, the raw
+    block sum for one fed by a residual trunk); None for dense layers.
+    profiled says whether the depth profile reads layer.last_out: the tensor
+    feeding a normalizer or a ReLU. Only the second convolution of an
+    unnormalized residual block, which feeds just the shortcut sum, is out.
     """
 
-    def __init__(self, config: NetworkConfig, layers: list[Layer],
-                 taps: list[tuple[str, Layer]], mv_taps: list[tuple[str, Conv3x3, object]],
-                 moment_taps: list[tuple[str, object]]):
+    label: str
+    layer: Layer
+    feed: Callable[[], Array] | None
+    profiled: bool
+
+
+class Network:
+    """A feature stack plus classifier head, with one Tap per feature
+    convolution / dense layer, in depth order."""
+
+    def __init__(self, config: NetworkConfig, layers: list[Layer], taps: list[Tap]):
         self.config = config
         self.layers = layers
         self.taps = taps
-        self.mv_taps = mv_taps
-        self.moment_taps = moment_taps
         self._params = []
         for l in layers:
             self._params.extend(l.params())
@@ -737,105 +742,52 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         return _make_norm(config, channels, name)
 
     layers: list[Layer] = []
-    taps: list[tuple[str, Layer]] = []
-    mv_taps = []
-    moment_taps: list[tuple[str, object]] = []
+    taps: list[Tap] = []
 
     if config.kind == "conv":
-        c_in = config.input_shape[0]
         w = config.width
-        ordinal = 0
+        c_prev = config.input_shape[0]
+        feed = None  # getter for the tensor feeding the next conv; None: the input
 
-        def producer_of(layer, attr="last_in"):
-            return lambda: getattr(layer, attr)
+        def reader(obj, attr="last_in"):
+            return lambda: getattr(obj, attr)
 
-        if config.residual:
-            prev_feed = None  # getter for the tensor feeding the next conv
-            c_prev = c_in
-            remaining = config.depth
-            if config.depth % 2 == 1:
-                stem = Conv3x3(c_prev, w, next_rng(), config.init, f"conv{ordinal}")
-                layers.append(stem)
-                taps.append((stem.name, stem))
-                mv_taps.append((stem.name, stem, producer_of(stem)))
-                moment_taps.append((stem.name, producer_of(stem, "last_out")))
-                n = norm_factory(w, f"norm{ordinal}")
-                if n:
-                    layers.append(n)
-                relu = ReLU()
-                layers.append(relu)
-                prev_feed = producer_of(relu)
-                ordinal += 1
-                c_prev = w
-                remaining -= 1
-            for bi in range(remaining // 2):
-                block = ResidualBlock(
-                    c_prev, w, next_rng(), next_rng(), config.init,
-                    lambda ch, nm: norm_factory(ch, nm), f"block{bi}",
-                )
-                # taps: the two convolutions inside the block
-                taps.append((block.conv1.name, block.conv1))
-                taps.append((block.conv2.name, block.conv2))
-                first_producer = (
-                    producer_of(block.conv1) if prev_feed is None else prev_feed
-                )
-                mv_taps.append((block.conv1.name, block.conv1, first_producer))
-                mv_taps.append((block.conv2.name, block.conv2, producer_of(block.relu1)))
-                # conv1 feeds a norm or its ReLU either way; conv2 feeds its
-                # norm when present, otherwise only the shortcut sum.
-                moment_taps.append(
-                    (block.conv1.name, producer_of(block.conv1, "last_out"))
-                )
-                if block.norm2 is not None:
-                    moment_taps.append(
-                        (block.conv2.name, producer_of(block.conv2, "last_out"))
-                    )
-                layers.append(block)
-                prev_feed = producer_of(block, "last_sum")
-                c_prev = w
-                ordinal += 2
-        else:
-            c_prev = c_in
-            prev_pre_relu = None
-            for d in range(config.depth):
-                conv = Conv3x3(c_prev, w, next_rng(), config.init, f"conv{d}")
-                layers.append(conv)
-                taps.append((conv.name, conv))
-                producer = (
-                    producer_of(conv) if prev_pre_relu is None else producer_of(prev_pre_relu)
-                )
-                mv_taps.append((conv.name, conv, producer))
-                moment_taps.append((conv.name, producer_of(conv, "last_out")))
-                n = norm_factory(w, f"norm{d}")
-                if n:
-                    layers.append(n)
-                relu = ReLU()
-                layers.append(relu)
-                prev_pre_relu = relu
-                c_prev = w
-        if config.placement == "final_only" and config.norm != "none":
-            layers.append(_make_norm(config, w, "norm_final"))
-        layers.append(GlobalAvgPool())
-        layers.append(Dense(w, config.class_count, next_rng(), config.init, "head"))
+        # a residual net of odd depth starts with one plain stem layer
+        plain = config.depth % 2 if config.residual else config.depth
+        for d in range(plain):
+            conv = Conv3x3(c_prev, w, next_rng(), config.init, f"conv{d}")
+            taps.append(Tap(conv.name, conv, feed or reader(conv), True))
+            relu = ReLU()
+            n = norm_factory(w, f"norm{d}")
+            layers += [conv, n, relu] if n else [conv, relu]
+            feed = reader(relu)
+            c_prev = w
+        for bi in range((config.depth - plain) // 2):
+            block = ResidualBlock(
+                c_prev, w, next_rng(), next_rng(), config.init, norm_factory, f"block{bi}"
+            )
+            conv1, conv2 = block.conv1, block.conv2
+            taps.append(Tap(conv1.name, conv1, feed or reader(conv1), True))
+            taps.append(Tap(conv2.name, conv2, reader(block.relu1), block.norm2 is not None))
+            layers.append(block)
+            feed = reader(block, "last_sum")
+            c_prev = w
     else:
-        d_in = int(np.prod(config.input_shape))
         layers.append(Flatten())
-        prev = d_in
+        prev = int(np.prod(config.input_shape))
         for d in range(config.depth):
             dense = Dense(prev, config.width, next_rng(), config.init, f"dense{d}")
-            layers.append(dense)
-            taps.append((dense.name, dense))
-            moment_taps.append((dense.name, lambda d=dense: d.last_out))
+            taps.append(Tap(dense.name, dense, None, True))
             n = norm_factory(config.width, f"norm{d}")
-            if n:
-                layers.append(n)
-            layers.append(ReLU())
+            layers += [dense, n, ReLU()] if n else [dense, ReLU()]
             prev = config.width
-        if config.placement == "final_only" and config.norm != "none":
-            layers.append(_make_norm(config, prev, "norm_final"))
-        layers.append(Dense(prev, config.class_count, next_rng(), config.init, "head"))
+    if config.placement == "final_only" and config.norm != "none":
+        layers.append(_make_norm(config, config.width, "norm_final"))
+    if config.kind == "conv":
+        layers.append(GlobalAvgPool())
+    layers.append(Dense(config.width, config.class_count, next_rng(), config.init, "head"))
 
-    return Network(config, layers, taps, mv_taps, moment_taps)
+    return Network(config, layers, taps)
 
 
 def _make_norm(config: NetworkConfig, channels: int, name: str) -> Layer:

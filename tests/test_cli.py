@@ -177,3 +177,39 @@ class TestAnalysisCommands:
         for row in rows[1:]:
             bound, closed = float(row[3]), float(row[4])
             assert closed <= bound + 1e-12
+
+
+class TestAnalysesMatchTraining:
+    """An analysis subcommand writes its instrument's step-0 rows of `train`."""
+
+    ANALYSES = {
+        "init-moments": ("moments", "moments.csv"),
+        "probe-loss": ("probe", "probe.csv"),
+        "coherence": ("coherence", "coherence.csv"),
+        "class-heatmap": ("heatmap", "heatmap_stats.csv"),
+    }
+
+    @pytest.mark.parametrize("network", [
+        "network.depth = 2",
+        "network.depth = 3\nnetwork.residual = true\nnetwork.norm = none",
+    ])
+    def test_byte_identical_to_step_zero_rows(self, tmp_path, network):
+        text = SMALL.replace("network.depth = 2", network)
+        train_cfg = tmp_path / "train.cfg"
+        train_cfg.write_text(
+            text.replace("train.epochs = 1", "train.epochs = 0")
+            + "".join(f"diagnostics.{name} = 1\n" for name, _ in self.ANALYSES.values())
+        )
+        analysis_cfg = tmp_path / "analysis.cfg"
+        analysis_cfg.write_text(text)
+        out = tmp_path / "train"
+        assert main(["train", "--config", str(train_cfg), "--out", str(out)]) == 0
+        (leg_dir,) = out.glob("leg_0_*")
+        for command, (name, filename) in self.ANALYSES.items():
+            cli_out = tmp_path / command
+            assert main([command, "--config", str(analysis_cfg), "--out", str(cli_out)]) == 0
+            lines = (leg_dir / f"{name}.csv").read_text().splitlines()
+            assert lines[0].startswith("step,")
+            assert all(line.startswith("0,") for line in lines[1:])
+            without_step = "".join(line.split(",", 1)[1] + "\n" for line in lines)
+            assert (cli_out / filename).read_text() == without_step, command

@@ -23,7 +23,11 @@ from bnlab.diagnostics import (
 from bnlab.errors import DimensionError, LabelError, SizeError
 from bnlab.nn import (
     BatchNorm,
+    Conv3x3,
+    Dense,
     NetworkConfig,
+    ReLU,
+    ResidualBlock,
     SgdState,
     build_network,
     sgd_step,
@@ -411,3 +415,95 @@ class TestInstrumentsAreReadOnly:
                 assert la.batch_counter == lb.batch_counter
                 assert la.running_mean.tobytes() == lb.running_mean.tobytes()
                 assert la.running_var.tobytes() == lb.running_var.tobytes()
+
+
+def _feature_layers(net):
+    """Every feature conv / dense layer by name, and the tensor feeding each
+    conv, read off the layer stack after a pass: the network input for the
+    first conv, then the input of the latest ReLU, or a block's sum."""
+    layers, feeds, trunk = {}, {}, None
+    for layer in net.layers:
+        if isinstance(layer, ResidualBlock):
+            layers[layer.conv1.name], layers[layer.conv2.name] = layer.conv1, layer.conv2
+            feeds[layer.conv1.name] = layer.conv1.last_in if trunk is None else trunk
+            feeds[layer.conv2.name] = layer.relu1.last_in
+            trunk = layer.last_sum
+        elif isinstance(layer, Conv3x3):
+            layers[layer.name] = layer
+            feeds[layer.name] = layer.last_in if trunk is None else trunk
+        elif isinstance(layer, ReLU):
+            trunk = layer.last_in
+        elif isinstance(layer, Dense) and layer.name != "head":
+            layers[layer.name] = layer
+    return layers, feeds
+
+
+class TestTapRules:
+    """Which layers and tensors the instruments read, per architecture."""
+
+    CASES = {
+        "plain-batch": (dict(depth=3), ["conv0", "conv1", "conv2"]),
+        "plain-none": (dict(depth=3, norm="none"), ["conv0", "conv1", "conv2"]),
+        "residual-even-batch": (
+            dict(depth=4, residual=True),
+            ["block0.conv1", "block0.conv2", "block1.conv1", "block1.conv2"],
+        ),
+        "residual-even-none": (
+            dict(depth=4, residual=True, norm="none"), ["block0.conv1", "block1.conv1"],
+        ),
+        "residual-odd-batch": (
+            dict(depth=5, residual=True),
+            ["conv0", "block0.conv1", "block0.conv2", "block1.conv1", "block1.conv2"],
+        ),
+        "residual-odd-none": (
+            dict(depth=5, residual=True, norm="none"),
+            ["conv0", "block0.conv1", "block1.conv1"],
+        ),
+        "residual-odd-final-only": (
+            dict(depth=5, residual=True, placement="final_only"),
+            ["conv0", "block0.conv1", "block1.conv1"],
+        ),
+        "dense-batch": (dict(depth=3, kind="dense"), ["dense0", "dense1", "dense2"]),
+        "dense-none": (dict(depth=2, kind="dense", norm="none"), ["dense0", "dense1"]),
+    }
+
+    @staticmethod
+    def _net(kw):
+        cfg = NetworkConfig(
+            **{"kind": "conv", "width": 4, "class_count": 3, "input_shape": (2, 5, 5),
+               **kw}
+        )
+        return build_network(cfg, SeededRng(3))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_depth_profile_reads_each_profiled_layer_output(self, case):
+        kw, expected = self.CASES[case]
+        net = self._net(kw)
+        x, _ = small_batch()
+        profile = depth_moment_profile(net, x)
+        assert [lm.label for lm in profile.layers] == expected
+        layers, _ = _feature_layers(net)
+        for lm in profile.layers:
+            out = layers[lm.label].last_out
+            axes = (0, 2, 3) if out.ndim == 4 else (0,)
+            assert_array_equal(lm.means, out.mean(axis=axes))
+            assert_array_equal(lm.variances, out.var(axis=axes))
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_conv_instruments_read_every_conv_and_its_feed(self, case):
+        kw, _ = self.CASES[case]
+        net = self._net(kw)
+        x, y = small_batch()
+        layers, _ = _feature_layers(net)
+        convs = [name for name, layer in layers.items() if isinstance(layer, Conv3x3)]
+        if kw.get("kind") == "dense":
+            assert convs == []
+        assert [r.layer for r in sign_coherence(net, x, y)] == convs
+        rows = channel_gradients(net, x, y)
+        assert [r.layer for r in rows] == [name for name in convs for _ in range(4)]
+        pairs = mean_vs_grad_pairs(net, x, y)
+        _, feeds = _feature_layers(net)
+        assert list(dict.fromkeys(p.layer for p in pairs)) == convs
+        for p in pairs:
+            feed = feeds[p.layer]
+            assert p.input_mean == float(feed.mean(axis=(0, 2, 3))[p.in_channel])

@@ -1,0 +1,26 @@
+"""README stays in step with the CLI and the instrument registry."""
+import os
+import re
+
+from bnlab.diagnostics import INSTRUMENTS
+from bnlab.harness.cli import _DISPATCH
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+
+
+def _section(title):
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    start = text.index(f"## {title}\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_cli_table_names_every_subcommand():
+    rows = re.findall(r"^\| `([a-z0-9-]+)` \|", _section("CLI"), flags=re.M)
+    assert sorted(rows) == sorted(_DISPATCH)
+
+
+def test_diagnostics_list_names_every_instrument_with_its_columns():
+    listed = dict(re.findall(r"^  - `(\w+)`: `([^`]+)`", _section("Config grammar"), flags=re.M))
+    assert listed == {name: ", ".join(("step", *cols)) for name, (cols, _, _) in INSTRUMENTS.items()}

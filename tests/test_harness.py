@@ -324,6 +324,23 @@ class TestRunExperiment:
         rows = leg.tables["heatmap"][1]
         assert len(rows) == 1 and rows[0][0] == 0
 
+    def test_histogram_at_init_reads_a_real_gradient(self):
+        # step 0 comes before any training backward: the instrument takes its own
+        cfg = parse_config(SMALL_RUN.replace("train.epochs = 1", "train.epochs = 0")
+                           + "diagnostics.histogram = 1\n")
+        rows = run_experiment(cfg).legs[0].tables["histogram"][1]
+        assert [r[:2] for r in rows] == [(0, "conv0.kernel"), (0, "conv1.kernel")]
+        for _, _, mean, std, kurtosis, tail, max_abs in rows:
+            assert std > 0 and max_abs > 0 and np.isfinite(kurtosis)
+
+    def test_histogram_rows_do_not_depend_on_other_instruments(self):
+        alone = parse_config(SMALL_RUN + "diagnostics.histogram = 2\n")
+        crowded = parse_config(SMALL_RUN + "diagnostics.histogram = 2\n"
+                               "diagnostics.classwise = 1\ndiagnostics.coherence = 3\n")
+        crowded.diagnostics = tuple(reversed(crowded.diagnostics))  # histogram fires last
+        assert (run_experiment(alone).legs[0].tables["histogram"]
+                == run_experiment(crowded).legs[0].tables["histogram"])
+
     def test_divergence_recording(self, tmp_path):
         cfg = parse_config(SMALL_RUN + "train.divergence_threshold = 1e-9\n")
         art = run_experiment(cfg)

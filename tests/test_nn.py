@@ -528,8 +528,8 @@ class TestBuildNetwork:
         cfg_none = tiny_conv_config(norm="none")
         net_a = build_network(cfg_bn, SeededRng(77))
         net_b = build_network(cfg_none, SeededRng(77))
-        for (_, a), (_, b) in zip(net_a.taps, net_b.taps):
-            assert_array_equal(a.kernel.value, b.kernel.value)
+        for a, b in zip(net_a.taps, net_b.taps):
+            assert_array_equal(a.layer.kernel.value, b.layer.kernel.value)
 
     def test_per_layer_norm_count(self):
         net = build_network(tiny_conv_config(depth=3), SeededRng(0))
