@@ -30,8 +30,7 @@ def _init_state(cfg: ExperimentConfig):
     """The exact network and batch a sweep's first leg would start from."""
     train, test = load_dataset(cfg)
     net = build_network(cfg.network, SeededRng(cfg.seed).child(100))
-    b = min(cfg.batch_size, train.n)
-    batch = (train.images[:b], train.labels[:b])
+    batch = (train.images[:cfg.batch_size], train.labels[:cfg.batch_size])
     return net, batch, train, test
 
 

@@ -9,20 +9,23 @@ Files are `key = value` pairs with dotted section keys and # comments:
     diagnostics.moments = 50
     out.dir = runs/demo
 
-Every key is checked against the schema below; unknown keys, bad values, and
-duplicates are reported with their line number. network.depth is the one
-required key.
+Each key is one row of the table below: its value kind (how the text is
+parsed and echoed) and the ExperimentConfig attribute it sets. Unknown keys,
+bad values and duplicates are reported with their line number.
+network.depth is the one required key; the dataclasses hold the defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, NamedTuple
 
 from ..diagnostics import INSTRUMENTS
 from ..errors import ConfigError
-from ..nn import BnComponents, NetworkConfig
-from ..tensor import HE, XAVIER
+from ..nn import NetworkConfig
+from ..tensor import InitScheme
 
-# the canonical sweep used when a config says `train.lr_sweep = standard`
+# the canonical learning-rate sweep, named `standard` in a config
 STANDARD_SWEEP = (0.1, 0.003, 0.001, 0.0003, 0.0001, 0.00003)
 
 
@@ -81,15 +84,17 @@ class ExperimentConfig:
                 f"batch_size must be >= 2 (got {self.batch_size}): "
                 "batch statistics degenerate on single-activation batches"
             )
-        if any(lr <= 0 for lr in self.lr_sweep) or self.base_lr <= 0:
-            raise ConfigError("learning rates must be positive")
+        if not all(0 < lr < math.inf for lr in (self.base_lr, *self.lr_sweep)):
+            raise ConfigError("learning rates must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if self.divergence_threshold <= 0:
+        if any(not divisor > 0 for _, divisor in self.schedule):
+            raise ConfigError("schedule divisors must be positive")
+        if not self.divergence_threshold > 0:  # nan fails too
             raise ConfigError("divergence_threshold must be positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ConfigError("weight_decay must be >= 0")
         for name, every in self.diagnostics:
             if name not in INSTRUMENTS:
@@ -103,9 +108,7 @@ class ExperimentConfig:
         if self.dataset.kind == "synthetic":
             if self.dataset.classes < 2 or self.dataset.per_class < 1:
                 raise ConfigError("synthetic data needs classes >= 2, per_class >= 1")
-            dim = 1
-            for s in self.dataset.shape:
-                dim *= s
+            dim = math.prod(self.dataset.shape)
             if self.dataset.classes > dim:
                 raise ConfigError(
                     f"synthetic class count ({self.dataset.classes}) cannot exceed "
@@ -120,8 +123,8 @@ class ExperimentConfig:
             raise ConfigError(f"rmt.sigmas needs {r.m} positive entries")
         if z.examples < 2 or z.trials < 1:
             raise ConfigError("noise needs examples >= 2 and trials >= 1")
-        if any(b < 1 for b in z.batch_sizes) or any(lr <= 0 for lr in z.lrs):
-            raise ConfigError("noise batch sizes must be >= 1 and lrs positive")
+        if any(b < 1 for b in z.batch_sizes) or not all(0 < lr < math.inf for lr in z.lrs):
+            raise ConfigError("noise batch sizes must be >= 1 and lrs positive and finite")
         for b in z.batch_sizes:
             if b > z.examples:
                 raise ConfigError(
@@ -142,119 +145,145 @@ class ExperimentConfig:
             )
 
 
-# value casters -------------------------------------------------------------
+
+class Kind(NamedTuple):
+    """How one key's value is read from its text and written back."""
+
+    parse: Callable[[str], Any]
+    render: Callable[[Any], str]
 
 
-def _c_int(raw):
-    return int(raw, 10)
+def _float(raw):
+    value = float(raw)
+    if value != value:
+        raise ValueError(f"not a number: {raw!r}")
+    return value
 
 
-def _c_float(raw):
-    return float(raw)
+def _bool(raw):
+    if raw.lower() not in ("true", "yes", "1", "false", "no", "0"):
+        raise ValueError(f"not a boolean: {raw!r}")
+    return raw.lower() in ("true", "yes", "1")
 
 
-def _c_bool(raw):
-    low = raw.lower()
-    if low in ("true", "yes", "1"):
-        return True
-    if low in ("false", "no", "0"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
+def _choice(*allowed):
+    def parse(raw):
+        if raw not in allowed:
+            raise ValueError(f"must be one of {allowed}, got {raw!r}")
+        return raw
+
+    return Kind(parse, str)
 
 
-def _c_str(raw):
-    return raw
+def _list(item: Kind) -> Kind:
+    """Comma-separated values of one kind; empty parts are skipped."""
+    return Kind(
+        lambda raw: tuple(item.parse(p) for p in raw.split(",") if p.strip()),
+        lambda values: ",".join(map(item.render, values)),
+    )
 
 
-def _c_floats(raw):
-    if raw.lower() == "standard":
-        return STANDARD_SWEEP
-    return tuple(float(p) for p in raw.split(",") if p.strip())
-
-
-def _c_ints(raw):
-    return tuple(int(p, 10) for p in raw.split(",") if p.strip())
-
-
-def _c_shape(raw):
-    parts = tuple(int(p, 10) for p in raw.split(",") if p.strip())
+def _shape(raw):
+    parts = INTS.parse(raw)
     if len(parts) != 3 or any(p < 1 for p in parts):
         raise ValueError(f"shape needs three positive integers, got {raw!r}")
     return parts
 
 
-def _c_schedule(raw):
-    # "0.5:10, 0.75:10" -> ((0.5, 10.0), (0.75, 10.0)); "none" clears it
-    if raw.lower() == "none":
-        return ()
-    pairs = []
-    for part in raw.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        frac, _, div = part.partition(":")
-        if not div:
-            raise ValueError(f"schedule entries are fraction:divisor, got {part!r}")
-        pairs.append((float(frac), float(div)))
-    return tuple(pairs)
+def _step(raw):
+    frac, _, div = raw.strip().partition(":")
+    if not div:
+        raise ValueError(f"schedule entries are fraction:divisor, got {raw.strip()!r}")
+    return _float(frac), _float(div)
 
 
-def _c_choice(*allowed):
-    def cast(raw):
-        if raw not in allowed:
-            raise ValueError(f"must be one of {allowed}, got {raw!r}")
-        return raw
+INT = Kind(lambda raw: int(raw, 10), str)
+FLOAT = Kind(_float, repr)
+BOOL = Kind(_bool, lambda v: str(v).lower())
+STR = Kind(str, str)
+INTS = _list(INT)
+FLOATS = _list(FLOAT)
+LRS = Kind(lambda raw: STANDARD_SWEEP if raw.lower() == "standard" else FLOATS.parse(raw),
+           FLOATS.render)
+SHAPE = Kind(_shape, INTS.render)
+# "0.5:10, 0.75:10" -> ((0.5, 10.0), (0.75, 10.0)); "none" clears it
+_STEPS = _list(Kind(_step, lambda step: "{!r}:{!r}".format(*step)))
+SCHEDULE = Kind(lambda raw: () if raw.lower() == "none" else _STEPS.parse(raw),
+                lambda steps: _STEPS.render(steps) if steps else "none")
+INIT = Kind(lambda raw: InitScheme(_choice("xavier", "he").parse(raw)), lambda v: v.kind)
 
-    return cast
-
-
-_SCHEMA = {
-    "network.depth": _c_int,
-    "network.kind": _c_choice("conv", "dense"),
-    "network.width": _c_int,
-    "network.norm": _c_choice("batch", "layer", "instance", "group", "none"),
-    "network.placement": _c_choice("per_layer", "final_only"),
-    "network.groups": _c_int,
-    "network.residual": _c_bool,
-    "network.init": _c_choice("xavier", "he"),
-    "network.bn_eps": _c_float,
-    "network.bn_rho": _c_float,
-    "network.bn_period": _c_int,
-    "network.bn_use_mean": _c_bool,
-    "network.bn_use_var": _c_bool,
-    "network.bn_use_gamma": _c_bool,
-    "network.bn_use_beta": _c_bool,
-    "dataset.kind": _c_choice("synthetic", "cifar10"),
-    "dataset.dir": _c_str,
-    "dataset.classes": _c_int,
-    "dataset.per_class": _c_int,
-    "dataset.test_per_class": _c_int,
-    "dataset.shape": _c_shape,
-    "dataset.separation": _c_float,
-    "dataset.augment": _c_bool,
-    "train.batch_size": _c_int,
-    "train.base_lr": _c_float,
-    "train.lr_sweep": _c_floats,
-    "train.epochs": _c_int,
-    "train.seed": _c_int,
-    "train.momentum": _c_float,
-    "train.weight_decay": _c_float,
-    "train.schedule": _c_schedule,
-    "train.divergence_threshold": _c_float,
-    "out.dir": _c_str,
-    "rmt.m": _c_int,
-    "rmt.m_list": _c_ints,
-    "rmt.n": _c_int,
-    "rmt.trials": _c_int,
-    "rmt.grid_points": _c_int,
-    "rmt.sigmas": _c_floats,
-    "noise.examples": _c_int,
-    "noise.batch_sizes": _c_ints,
-    "noise.lrs": _c_floats,
-    "noise.trials": _c_int,
+# key, value kind[, ExperimentConfig attribute path if not the key itself],
+# in echo order. A `diagnostics.<name>` path is the instrument's period in
+# the (name, period) pairs of ExperimentConfig.diagnostics.
+_ROWS = {
+    key: (kind, path[0] if path else key)
+    for key, kind, *path in (
+        ("network.depth", INT),
+        ("network.kind", _choice("conv", "dense")),
+        ("network.width", INT),
+        ("network.norm", _choice("batch", "layer", "instance", "group", "none")),
+        ("network.placement", _choice("per_layer", "final_only")),
+        ("network.groups", INT),
+        ("network.residual", BOOL),
+        ("network.init", INIT),
+        ("network.bn_eps", FLOAT),
+        ("network.bn_rho", FLOAT),
+        ("network.bn_period", INT),
+        ("network.bn_use_mean", BOOL, "network.bn_components.use_mean"),
+        ("network.bn_use_var", BOOL, "network.bn_components.use_var"),
+        ("network.bn_use_gamma", BOOL, "network.bn_components.use_gamma"),
+        ("network.bn_use_beta", BOOL, "network.bn_components.use_beta"),
+        ("dataset.kind", _choice("synthetic", "cifar10")),
+        ("dataset.dir", STR, "dataset.directory"),
+        ("dataset.classes", INT),
+        ("dataset.per_class", INT),
+        ("dataset.test_per_class", INT),
+        ("dataset.shape", SHAPE),
+        ("dataset.separation", FLOAT),
+        ("dataset.augment", BOOL),
+        ("train.batch_size", INT, "batch_size"),
+        ("train.base_lr", FLOAT, "base_lr"),
+        ("train.lr_sweep", LRS, "lr_sweep"),
+        ("train.epochs", INT, "epochs"),
+        ("train.seed", INT, "seed"),
+        ("train.momentum", FLOAT, "momentum"),
+        ("train.weight_decay", FLOAT, "weight_decay"),
+        ("train.schedule", SCHEDULE, "schedule"),
+        ("train.divergence_threshold", FLOAT, "divergence_threshold"),
+        *((f"diagnostics.{name}", INT) for name in INSTRUMENTS),
+        ("rmt.m", INT),
+        ("rmt.m_list", INTS),
+        ("rmt.n", INT),
+        ("rmt.trials", INT),
+        ("rmt.grid_points", INT),
+        ("rmt.sigmas", FLOATS),
+        ("noise.examples", INT),
+        ("noise.batch_sizes", INTS),
+        ("noise.lrs", LRS),
+        ("noise.trials", INT),
+        ("out.dir", STR, "out_dir"),
+    )
 }
-for _name in INSTRUMENTS:
-    _SCHEMA[f"diagnostics.{_name}"] = _c_int
+
+
+def _get(obj, path: str):
+    for name in path.split("."):
+        # a tuple is ExperimentConfig.diagnostics: (name, period) pairs
+        obj = dict(obj).get(name) if isinstance(obj, tuple) else getattr(obj, name)
+    return obj
+
+
+def _set(obj, path: str, value):
+    """A copy of obj with the attribute at path set to value."""
+    name, _, rest = path.partition(".")
+    if rest:
+        value = _set(getattr(obj, name), rest, value)
+    if isinstance(obj, tuple):
+        return obj + ((name, value),)
+    return replace(obj, **{name: value})
+
+
+_DEFAULTS = ExperimentConfig(network=NetworkConfig(depth=1))
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -270,20 +299,27 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
         key = key.strip()
         raw = raw.strip()
-        if key not in _SCHEMA:
+        if key not in _ROWS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         if key in values:
             raise ConfigError(
                 f"line {lineno}: duplicate key {key!r} (first set on line {lines[key]})"
             )
         try:
-            values[key] = _SCHEMA[key](raw)
+            values[key] = _ROWS[key][0].parse(raw)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
         lines[key] = lineno
-    if "network.depth" not in values:
+    cfg = ExperimentConfig(network=NetworkConfig(depth=None))  # depth: set by its row
+    for key, (_, path) in _ROWS.items():
+        if key in values:
+            cfg = _set(cfg, path, values[key])
+    if cfg.network.depth is None:
         raise ConfigError("missing required key network.depth")
-    cfg = _assemble(values)
+    d = cfg.dataset
+    if d.kind == "cifar10":
+        d.shape, d.classes = (3, 32, 32), 10
+    cfg.network.class_count, cfg.network.input_shape = d.classes, d.shape
     cfg.validate()
     return cfg
 
@@ -293,145 +329,15 @@ def parse_config_file(path: str) -> ExperimentConfig:
         return parse_config(fh.read())
 
 
-def _assemble(v: dict) -> ExperimentConfig:
-    network = NetworkConfig(
-        depth=v["network.depth"],
-        kind=v.get("network.kind", "conv"),
-        width=v.get("network.width", 16),
-        class_count=2,  # placeholder; tied to the dataset below
-        input_shape=v.get("dataset.shape", (3, 8, 8)),
-        norm=v.get("network.norm", "batch"),
-        placement=v.get("network.placement", "per_layer"),
-        groups=v.get("network.groups", 4),
-        residual=v.get("network.residual", False),
-        init=HE if v.get("network.init", "xavier") == "he" else XAVIER,
-        bn_eps=v.get("network.bn_eps", 1e-5),
-        bn_rho=v.get("network.bn_rho", 0.9),
-        bn_period=v.get("network.bn_period", 1),
-        bn_components=BnComponents(
-            use_mean=v.get("network.bn_use_mean", True),
-            use_var=v.get("network.bn_use_var", True),
-            use_gamma=v.get("network.bn_use_gamma", True),
-            use_beta=v.get("network.bn_use_beta", True),
-        ),
-    )
-    dataset = DatasetConfig(
-        kind=v.get("dataset.kind", "synthetic"),
-        directory=v.get("dataset.dir", ""),
-        classes=v.get("dataset.classes", 10),
-        per_class=v.get("dataset.per_class", 64),
-        test_per_class=v.get("dataset.test_per_class", 16),
-        shape=v.get("dataset.shape", (3, 8, 8)),
-        separation=v.get("dataset.separation", 10.0),
-        augment=v.get("dataset.augment", False),
-    )
-    if dataset.kind == "cifar10":
-        dataset.shape = (3, 32, 32)
-        dataset.classes = 10
-    network.class_count = dataset.classes
-    network.input_shape = dataset.shape
-    diagnostics = tuple(
-        (name, v[f"diagnostics.{name}"])
-        for name in INSTRUMENTS
-        if f"diagnostics.{name}" in v
-    )
-    rmt = RmtConfig(
-        m=v.get("rmt.m", 1),
-        m_list=v.get("rmt.m_list", (1, 2, 4, 8)),
-        n=v.get("rmt.n", 128),
-        trials=v.get("rmt.trials", 10),
-        grid_points=v.get("rmt.grid_points", 1000),
-        sigmas=v.get("rmt.sigmas", ()),
-    )
-    noise = NoiseConfig(
-        examples=v.get("noise.examples", 100),
-        batch_sizes=v.get("noise.batch_sizes", (1, 5, 25)),
-        lrs=v.get("noise.lrs", (0.1, 1.0)),
-        trials=v.get("noise.trials", 100_000),
-    )
-    return ExperimentConfig(
-        network=network,
-        dataset=dataset,
-        batch_size=v.get("train.batch_size", 128),
-        base_lr=v.get("train.base_lr", 0.1),
-        lr_sweep=v.get("train.lr_sweep", ()),
-        epochs=v.get("train.epochs", 1),
-        seed=v.get("train.seed", 0),
-        momentum=v.get("train.momentum", 0.9),
-        weight_decay=v.get("train.weight_decay", 5e-4),
-        schedule=v.get("train.schedule", ((0.5, 10.0), (0.75, 10.0))),
-        divergence_threshold=v.get("train.divergence_threshold", 1e3),
-        diagnostics=diagnostics,
-        out_dir=v.get("out.dir", "run_out"),
-        rmt=rmt,
-        noise=noise,
-    )
-
-
 def echo_config(cfg: ExperimentConfig) -> str:
-    """Render a config back to parseable key = value text, defaults included."""
-    n, d = cfg.network, cfg.dataset
-    bc = n.bn_components
-    out = [
-        f"network.depth = {n.depth}",
-        f"network.kind = {n.kind}",
-        f"network.width = {n.width}",
-        f"network.norm = {n.norm}",
-        f"network.placement = {n.placement}",
-        f"network.groups = {n.groups}",
-        f"network.residual = {str(n.residual).lower()}",
-        f"network.init = {'he' if n.init is HE else 'xavier'}",
-        f"network.bn_eps = {n.bn_eps!r}",
-        f"network.bn_rho = {n.bn_rho!r}",
-        f"network.bn_period = {n.bn_period}",
-        f"network.bn_use_mean = {str(bc.use_mean).lower()}",
-        f"network.bn_use_var = {str(bc.use_var).lower()}",
-        f"network.bn_use_gamma = {str(bc.use_gamma).lower()}",
-        f"network.bn_use_beta = {str(bc.use_beta).lower()}",
-        f"dataset.kind = {d.kind}",
-    ]
-    if d.directory:
-        out.append(f"dataset.dir = {d.directory}")
-    out += [
-        f"dataset.classes = {d.classes}",
-        f"dataset.per_class = {d.per_class}",
-        f"dataset.test_per_class = {d.test_per_class}",
-        "dataset.shape = " + ",".join(str(s) for s in d.shape),
-        f"dataset.separation = {d.separation!r}",
-        f"dataset.augment = {str(d.augment).lower()}",
-        f"train.batch_size = {cfg.batch_size}",
-        f"train.base_lr = {cfg.base_lr!r}",
-    ]
-    if cfg.lr_sweep:
-        out.append("train.lr_sweep = " + ",".join(repr(v) for v in cfg.lr_sweep))
-    sched = (
-        ",".join(f"{f!r}:{v!r}" for f, v in cfg.schedule) if cfg.schedule else "none"
-    )
-    out += [
-        f"train.epochs = {cfg.epochs}",
-        f"train.seed = {cfg.seed}",
-        f"train.momentum = {cfg.momentum!r}",
-        f"train.weight_decay = {cfg.weight_decay!r}",
-        f"train.schedule = {sched}",
-        f"train.divergence_threshold = {cfg.divergence_threshold!r}",
-    ]
-    for name, every in cfg.diagnostics:
-        out.append(f"diagnostics.{name} = {every}")
-    r, z = cfg.rmt, cfg.noise
-    out += [
-        f"rmt.m = {r.m}",
-        "rmt.m_list = " + ",".join(str(m) for m in r.m_list),
-        f"rmt.n = {r.n}",
-        f"rmt.trials = {r.trials}",
-        f"rmt.grid_points = {r.grid_points}",
-    ]
-    if r.sigmas:
-        out.append("rmt.sigmas = " + ",".join(repr(s) for s in r.sigmas))
-    out += [
-        f"noise.examples = {z.examples}",
-        "noise.batch_sizes = " + ",".join(str(b) for b in z.batch_sizes),
-        "noise.lrs = " + ",".join(repr(lr) for lr in z.lrs),
-        f"noise.trials = {z.trials}",
-        f"out.dir = {cfg.out_dir}",
-    ]
+    """Render a config back to parseable key = value text, defaults included.
+
+    A key left at an empty default (dataset.dir, train.lr_sweep, rmt.sigmas)
+    and an instrument that is off are left out."""
+    out = []
+    for key, (kind, path) in _ROWS.items():
+        value = _get(cfg, path)
+        if value is None or (value in ("", ()) and value == _get(_DEFAULTS, path)):
+            continue
+        out.append(f"{key} = {kind.render(value)}")
     return "\n".join(out) + "\n"

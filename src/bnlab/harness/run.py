@@ -57,7 +57,8 @@ class RunArtifact:
 
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSet]:
-    """Train/test pair per the config, preprocessed with train statistics."""
+    """Train/test pair per the config, preprocessed with train statistics;
+    a batch larger than the training set is a config error."""
     d = cfg.dataset
     if d.kind == "cifar10":
         train, test = load_cifar10_dir(d.directory)
@@ -66,6 +67,10 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSe
         test = synth_dataset(
             d.classes, d.test_per_class, d.shape, d.separation,
             cfg.seed + _TEST_SEED_OFFSET,
+        )
+    if cfg.batch_size > train.n:
+        raise ConfigError(
+            f"batch_size {cfg.batch_size} exceeds the training set ({train.n})"
         )
     (train, test), _ = preprocess(train, test)
     return train, test
@@ -81,10 +86,6 @@ def run_leg(
     train: LabeledImageSet,
     test: LabeledImageSet,
 ) -> LegResult:
-    if cfg.batch_size > train.n:
-        raise ConfigError(
-            f"batch_size {cfg.batch_size} exceeds the training set ({train.n})"
-        )
     root = SeededRng(cfg.seed)
     net = build_network(cfg.network, root.child(100 + 10 * leg_index))
     order_gen = root.child(101 + 10 * leg_index).generator()

@@ -611,8 +611,10 @@ class NetworkConfig:
             raise ConfigError(f"unknown norm {self.norm!r}")
         if self.placement not in ("per_layer", "final_only"):
             raise ConfigError(f"unknown norm placement {self.placement!r}")
-        if self.width < 1 or self.class_count < 2:
-            raise ConfigError("width must be >= 1 and class_count >= 2")
+        if self.width < 1 or self.groups < 1 or self.class_count < 2:
+            raise ConfigError("width and groups must be >= 1 and class_count >= 2")
+        if not self.bn_eps > 0 or not 0 <= self.bn_rho <= 1:
+            raise ConfigError("bn_eps must be positive and bn_rho must lie in [0, 1]")
         if self.residual and self.kind != "conv":
             raise ConfigError("residual blocks require kind='conv'")
         if self.kind == "dense" and self.norm in ("instance", "group"):

@@ -92,6 +92,23 @@ class TestExitCodes:
         assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "run error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "rmt-density"])
+    def test_unrunnable_value_is_one_without_traceback(self, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\nnetwork.norm = group\nnetwork.groups = 0\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: width and groups must be >= 1")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "init-moments"])
+    def test_batch_beyond_training_set_is_one(self, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 1\ndataset.classes = 2\n"
+                     "dataset.per_class = 4\ntrain.batch_size = 32\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "batch_size 32 exceeds the training set (8)" in capsys.readouterr().err
+
     def test_runtime_error_after_parse_is_two(self, tmp_path, capsys):
         # Per-example gradients feed BN one example at a time: a degenerate batch.
         p = tmp_path / "c.cfg"

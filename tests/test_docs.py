@@ -1,11 +1,12 @@
-"""README stays in step with the CLI and the instrument registry."""
+"""README stays in step with the CLI, the instrument registry and scripts/."""
 import os
 import re
 
 from bnlab.diagnostics import INSTRUMENTS
 from bnlab.harness.cli import _DISPATCH
 
-README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+README = os.path.join(ROOT, "README.md")
 
 
 def _section(title):
@@ -24,3 +25,10 @@ def test_cli_table_names_every_subcommand():
 def test_diagnostics_list_names_every_instrument_with_its_columns():
     listed = dict(re.findall(r"^  - `(\w+)`: `([^`]+)`", _section("Config grammar"), flags=re.M))
     assert listed == {name: ", ".join(("step", *cols)) for name, (cols, _, _) in INSTRUMENTS.items()}
+
+
+def test_scripts_section_names_exactly_the_scripts():
+    listed = re.findall(r"^- `scripts/([^`]+)`", _section("Scripts"), flags=re.M)
+    scripts = os.path.join(ROOT, "scripts")
+    files = [f for f in os.listdir(scripts) if os.path.isfile(os.path.join(scripts, f))]
+    assert sorted(listed) == sorted(files)

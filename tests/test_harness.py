@@ -1,4 +1,5 @@
 """Tests for configuration, datasets, training runs, and artifact emission."""
+import glob
 import json
 import os
 
@@ -6,7 +7,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bnlab.diagnostics import INSTRUMENTS
 from bnlab.errors import ConfigError, DimensionError, FormatError, SizeError
+from bnlab.harness import config as config_module
 from bnlab.harness.config import (
     STANDARD_SWEEP,
     ExperimentConfig,
@@ -75,6 +78,37 @@ class TestParseConfig:
         assert parse_config(small + "noise.examples = 40\n").noise.examples == 40
         # the default (100) is checked when noise-bound runs
         assert parse_config(small).noise.examples == 100
+
+    @pytest.mark.parametrize("extra, message", [
+        ("network.norm = group\nnetwork.groups = 0\n", "groups must be >= 1"),
+        ("network.groups = -4\n", "groups must be >= 1"),
+        ("train.schedule = 0.5:0\n", "schedule divisors must be positive"),
+        ("train.schedule = 0.5:10, 0.75:-2\n", "schedule divisors must be positive"),
+        ("train.divergence_threshold = nan\n", "line 2.*train.divergence_threshold.*not a number"),
+        ("network.bn_eps = NaN\n", "line 2.*network.bn_eps.*not a number"),
+        ("dataset.separation = nan\n", "line 2.*dataset.separation.*not a number"),
+        ("train.lr_sweep = 0.1, nan\n", "line 2.*train.lr_sweep.*not a number"),
+        ("train.schedule = nan:10\n", "line 2.*train.schedule.*not a number"),
+        ("rmt.sigmas = nan\n", "line 2.*rmt.sigmas.*not a number"),
+        ("train.base_lr = inf\n", "positive and finite"),
+        ("train.lr_sweep = 0.1, inf\n", "positive and finite"),
+        ("noise.lrs = 0.1, inf\n", "positive and finite"),
+        ("network.bn_eps = 0\n", "bn_eps must be positive"),
+        ("network.bn_eps = -1e-5\n", "bn_eps must be positive"),
+        ("network.bn_rho = 1.5\n", r"bn_rho must lie in \[0, 1\]"),
+        ("network.bn_rho = -0.1\n", r"bn_rho must lie in \[0, 1\]"),
+        ("rmt.sigmas = standard\n", "line 2.*rmt.sigmas"),
+    ], ids=lambda v: v.strip().replace("\n", "; "))
+    def test_unrunnable_values_rejected(self, extra, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config(MINIMAL + extra)
+
+    def test_bounds_admit_their_edges(self):
+        cfg = parse_config(MINIMAL + "network.bn_rho = 0\nnetwork.groups = 1\n"
+                           "train.divergence_threshold = inf\nnoise.lrs = standard\n")
+        assert cfg.network.bn_rho == 0.0 and cfg.network.groups == 1
+        assert cfg.noise.lrs == STANDARD_SWEEP
+        assert parse_config(MINIMAL + "network.bn_rho = 1\n").network.bn_rho == 1.0
 
     def test_unknown_key_names_line(self):
         with pytest.raises(ConfigError, match="line 2.*network.depht"):
@@ -149,6 +183,138 @@ class TestParseConfig:
         )
         again = parse_config(echo_config(cfg))
         assert again == cfg
+
+
+CONFIGS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "..", "configs", "*.cfg")))
+
+# echo_config of configs/small_synthetic.cfg, byte for byte
+SMALL_SYNTHETIC_ECHO = """\
+network.depth = 4
+network.kind = conv
+network.width = 8
+network.norm = batch
+network.placement = per_layer
+network.groups = 4
+network.residual = false
+network.init = xavier
+network.bn_eps = 1e-05
+network.bn_rho = 0.9
+network.bn_period = 1
+network.bn_use_mean = true
+network.bn_use_var = true
+network.bn_use_gamma = true
+network.bn_use_beta = true
+dataset.kind = synthetic
+dataset.classes = 10
+dataset.per_class = 64
+dataset.test_per_class = 16
+dataset.shape = 3,8,8
+dataset.separation = 10.0
+dataset.augment = false
+train.batch_size = 32
+train.base_lr = 0.1
+train.epochs = 10
+train.seed = 0
+train.momentum = 0.9
+train.weight_decay = 0.0005
+train.schedule = none
+train.divergence_threshold = 1000.0
+diagnostics.moments = 50
+diagnostics.probe = 100
+rmt.m = 1
+rmt.m_list = 1,2,4,8
+rmt.n = 128
+rmt.trials = 10
+rmt.grid_points = 1000
+noise.examples = 100
+noise.batch_sizes = 1,5,25
+noise.lrs = 0.1,1.0
+noise.trials = 100000
+out.dir = runs/small_synthetic
+"""
+
+# every key set away from its default, written as echo_config writes it
+EVERY_KEY = (
+    """\
+network.depth = 3
+network.kind = conv
+network.width = 6
+network.norm = group
+network.placement = final_only
+network.groups = 3
+network.residual = true
+network.init = he
+network.bn_eps = 0.001
+network.bn_rho = 0.5
+network.bn_period = 2
+network.bn_use_mean = false
+network.bn_use_var = false
+network.bn_use_gamma = false
+network.bn_use_beta = false
+dataset.kind = synthetic
+dataset.dir = data/unused
+dataset.classes = 3
+dataset.per_class = 5
+dataset.test_per_class = 2
+dataset.shape = 2,4,4
+dataset.separation = 2.5
+dataset.augment = true
+train.batch_size = 4
+train.base_lr = 0.05
+train.lr_sweep = 0.2,0.02
+train.epochs = 3
+train.seed = 7
+train.momentum = 0.5
+train.weight_decay = 0.0
+train.schedule = 0.25:2.0,0.5:4.0
+train.divergence_threshold = 50.0
+"""
+    + "".join(f"diagnostics.{name} = {i + 1}\n" for i, name in enumerate(INSTRUMENTS))
+    + """\
+rmt.m = 2
+rmt.m_list = 1,3
+rmt.n = 16
+rmt.trials = 2
+rmt.grid_points = 32
+rmt.sigmas = 0.5,2.0
+noise.examples = 12
+noise.batch_sizes = 2,6
+noise.lrs = 0.5
+noise.trials = 9
+out.dir = runs/every_key
+"""
+)
+
+
+class TestEcho:
+    @pytest.mark.parametrize("path", CONFIGS, ids=os.path.basename)
+    def test_sample_configs_round_trip(self, path):
+        with open(path, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+        echo = echo_config(cfg)
+        assert parse_config(echo) == cfg
+        assert echo_config(parse_config(echo)) == echo
+
+    def test_small_synthetic_echo_pinned(self):
+        path = next(p for p in CONFIGS if p.endswith("small_synthetic.cfg"))
+        with open(path, encoding="utf-8") as fh:
+            assert echo_config(parse_config(fh.read())) == SMALL_SYNTHETIC_ECHO
+
+    def test_every_key_set_and_echoed(self):
+        keys = [line.split(" = ")[0] for line in EVERY_KEY.splitlines()]
+        assert keys == list(config_module._ROWS)
+        cfg = parse_config(EVERY_KEY)
+        echo = echo_config(cfg)
+        for key in keys:
+            assert f"\n{key} = " in "\n" + echo, key
+        assert echo == EVERY_KEY
+        assert parse_config(echo) == cfg
+
+    def test_empty_lists_round_trip(self):
+        # an empty value whose default is not empty is echoed, not dropped
+        cfg = parse_config(MINIMAL + "rmt.m_list =\nnoise.batch_sizes =\nnoise.lrs =\n")
+        assert cfg.rmt.m_list == () and cfg.noise.lrs == ()
+        assert parse_config(echo_config(cfg)) == cfg
 
 
 class TestCifarParser:
