@@ -140,7 +140,9 @@ def _cmd_noise_bound(cfg: ExperimentConfig, out: str) -> int:
         raise ConfigError(
             f"noise.examples = {z.examples} but the training set has {train.n}"
         )
-    gs = per_example_gradients(net, train.images[: z.examples], train.labels[: z.examples])
+    gs = per_example_gradients(
+        net, train.images[: z.examples], train.labels[: z.examples], cfg.batch_size
+    )
     rows = []
     for lr in z.lrs:
         for b in z.batch_sizes:

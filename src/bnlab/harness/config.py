@@ -88,14 +88,17 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if any(not divisor > 0 for _, divisor in self.schedule):
-            raise ConfigError("schedule divisors must be positive")
+        if not all(0 < divisor < math.inf and math.isfinite(frac)
+                   for frac, divisor in self.schedule):
+            raise ConfigError("schedule divisors must be positive and every entry finite")
         if not self.divergence_threshold > 0:  # nan fails too
             raise ConfigError("divergence_threshold must be positive")
         if not 0 <= self.momentum < 1:
             raise ConfigError("momentum must lie in [0, 1)")
-        if not self.weight_decay >= 0:
-            raise ConfigError("weight_decay must be >= 0")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError("weight_decay must be >= 0 and finite")
+        if not self.out_dir:
+            raise ConfigError("out.dir must not be empty")
         for name, every in self.diagnostics:
             if name not in INSTRUMENTS:
                 raise ConfigError(f"unknown instrument {name!r}")
@@ -108,6 +111,8 @@ class ExperimentConfig:
         if self.dataset.kind == "synthetic":
             if self.dataset.classes < 2 or self.dataset.per_class < 1:
                 raise ConfigError("synthetic data needs classes >= 2, per_class >= 1")
+            if not math.isfinite(self.dataset.separation):
+                raise ConfigError("dataset.separation must be finite")
             dim = math.prod(self.dataset.shape)
             if self.dataset.classes > dim:
                 raise ConfigError(
@@ -115,12 +120,14 @@ class ExperimentConfig:
                     f"the flattened dimension ({dim})"
                 )
         r, z = self.rmt, self.noise
+        if not (r.m_list and z.lrs and z.batch_sizes):
+            raise ConfigError("rmt.m_list, noise.lrs and noise.batch_sizes must not be empty")
         if r.m < 1 or any(m < 1 for m in r.m_list):
             raise ConfigError("rmt matrix counts must be >= 1")
         if r.n < 2 or r.trials < 1 or r.grid_points < 16:
             raise ConfigError("rmt needs n >= 2, trials >= 1, grid_points >= 16")
-        if r.sigmas and (len(r.sigmas) != r.m or any(s <= 0 for s in r.sigmas)):
-            raise ConfigError(f"rmt.sigmas needs {r.m} positive entries")
+        if r.sigmas and (len(r.sigmas) != r.m or not all(0 < s < math.inf for s in r.sigmas)):
+            raise ConfigError(f"rmt.sigmas needs {r.m} positive finite entries")
         if z.examples < 2 or z.trials < 1:
             raise ConfigError("noise needs examples >= 2 and trials >= 1")
         if any(b < 1 for b in z.batch_sizes) or not all(0 < lr < math.inf for lr in z.lrs):
@@ -130,6 +137,14 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"noise.batch_sizes entry {b} exceeds noise.examples = {z.examples}"
                 )
+        # noise-bound takes per-example gradients in chunks of train.batch_size; a
+        # last chunk of one example gives BN one-element regions on dense nets and 1x1 images
+        one_pixel = self.network.kind == "dense" or math.prod(self.network.input_shape[1:]) == 1
+        if self.network.norm == "batch" and one_pixel and z.examples % self.batch_size == 1:
+            raise ConfigError(
+                f"noise.examples = {z.examples} leaves a last chunk of 1 example at "
+                f"train.batch_size = {self.batch_size}: batch norm would see one element"
+            )
         # The default is left to noise-bound's run-time check (as is cifar10,
         # whose size is known only once loaded): configs for the other
         # commands, and their echoes, must parse on small synthetic sets.

@@ -143,15 +143,15 @@ def run_leg(
         if event is not None:
             break
         if metrics:
-            metrics[-1][4] = net.accuracy(train.images[:2048], train.labels[:2048])
-            metrics[-1][5] = net.accuracy(test.images, test.labels)
+            metrics[-1][4] = net.accuracy(train.images[:2048], train.labels[:2048], b)
+            metrics[-1][5] = net.accuracy(test.images, test.labels, b)
 
     if event is not None:
         final_acc = float("nan")
     elif metrics and np.isfinite(metrics[-1][5]):
         final_acc = metrics[-1][5]
     elif cfg.epochs > 0 and metrics:
-        final_acc = net.accuracy(test.images, test.labels)
+        final_acc = net.accuracy(test.images, test.labels, b)
     else:
         final_acc = float("nan")
     return LegResult(

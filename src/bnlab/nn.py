@@ -35,6 +35,7 @@ from .tensor import (
     SeededRng,
     as_tensor,
     conv2d_backward,
+    conv2d_example_kernel_grads,
     conv2d_forward,
     init_tensor,
 )
@@ -62,6 +63,12 @@ class Layer:
         raise NotImplementedError
 
     def params(self) -> list[Param]:
+        return []
+
+    def grad_summands(self) -> list[Array]:
+        """Each batch element's share of each parameter gradient of the last
+        backward: one [b, *shape] array per entry of params(), in that order,
+        summing over b to the param's grad."""
         return []
 
 
@@ -246,9 +253,21 @@ class GeneralizedNorm(Layer):
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))
         self.cache: NormCache | None = None
+        self.last_upstream: Array | None = None
 
     def params(self) -> list[Param]:
-        return [self.gamma, self.beta]
+        on = (self.components.use_gamma, self.components.use_beta)
+        return [p for p, keep in zip((self.gamma, self.beta), on) if keep]
+
+    def grad_summands(self) -> list[Array]:
+        dout = self.last_upstream
+        positions = tuple(range(2, dout.ndim))
+        terms = []
+        if self.components.use_gamma:
+            terms.append((dout * self.cache.xhat).sum(axis=positions))
+        if self.components.use_beta:
+            terms.append(dout.sum(axis=positions))
+        return terms
 
     def _normalize(self, x: Array, stats=None) -> tuple[Array, NormCache]:
         x = as_tensor(x)
@@ -266,6 +285,7 @@ class GeneralizedNorm(Layer):
         return out
 
     def backward(self, dout):
+        self.last_upstream = dout
         dx, dgamma, dbeta = norm_backward(dout, self.cache)
         self.gamma.grad[...] = dgamma
         self.beta.grad[...] = dbeta
@@ -301,10 +321,6 @@ class BatchNorm(GeneralizedNorm):
         self.cached_mean: Array | None = None
         self.cached_var: Array | None = None
         self._serial = 0
-
-    def params(self) -> list[Param]:
-        on = (self.components.use_gamma, self.components.use_beta)
-        return [p for p, keep in zip((self.gamma, self.beta), on) if keep]
 
     def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
         if not train:
@@ -366,6 +382,9 @@ class Conv3x3(Layer):
         self.kernel.grad[...] = dk
         return dx
 
+    def grad_summands(self):
+        return [conv2d_example_kernel_grads(self.last_upstream, self.last_in)]
+
 
 class Dense(Layer):
     def __init__(self, d_in: int, d_out: int, rng: SeededRng,
@@ -390,6 +409,9 @@ class Dense(Layer):
         self.weight.grad[...] = self.last_in.T @ dout
         self.bias.grad[...] = dout.sum(axis=0)
         return dout @ self.weight.value.T
+
+    def grad_summands(self):
+        return [self.last_in[:, :, None] * self.last_upstream[:, None, :], self.last_upstream]
 
 
 class ReLU(Layer):
@@ -452,9 +474,13 @@ class ResidualBlock(Layer):
         self.last_sum: Array | None = None
 
     def params(self):
-        out = self.conv1.params() + (self.norm1.params() if self.norm1 else [])
-        out += self.conv2.params() + (self.norm2.params() if self.norm2 else [])
-        return out
+        return [p for l in self._weighted() for p in l.params()]
+
+    def grad_summands(self):
+        return [s for l in self._weighted() for s in l.grad_summands()]
+
+    def _weighted(self) -> list[Layer]:
+        return [l for l in (self.conv1, self.norm1, self.conv2, self.norm2) if l]
 
     def forward(self, x, train=True, update_stats=True):
         h = self.conv1.forward(x, train, update_stats)
@@ -613,8 +639,8 @@ class NetworkConfig:
             raise ConfigError(f"unknown norm placement {self.placement!r}")
         if self.width < 1 or self.groups < 1 or self.class_count < 2:
             raise ConfigError("width and groups must be >= 1 and class_count >= 2")
-        if not self.bn_eps > 0 or not 0 <= self.bn_rho <= 1:
-            raise ConfigError("bn_eps must be positive and bn_rho must lie in [0, 1]")
+        if not 0 < self.bn_eps < np.inf or not 0 <= self.bn_rho <= 1:
+            raise ConfigError("bn_eps must be positive and finite and bn_rho must lie in [0, 1]")
         if self.residual and self.kind != "conv":
             raise ConfigError("residual blocks require kind='conv'")
         if self.kind == "dense" and self.norm in ("instance", "group"):

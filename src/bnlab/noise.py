@@ -1,7 +1,8 @@
 """SGD gradient noise: how far a minibatch step strays from the full-batch one.
 
-Given per-example loss gradients g_1 .. g_N with mean g_bar, the deviations
-Delta_i = g_i - g_bar have mean-square size
+Given per-example loss gradients g_1 .. g_N with mean g_bar (for a BN net,
+the examples' shares of minibatch gradients; see per_example_gradients), the
+deviations Delta_i = g_i - g_bar have mean-square size
 
     C = (1/N) sum_i ||Delta_i||^2      (the noise constant).
 
@@ -76,23 +77,43 @@ class GradientSet:
     @cached_property
     def _total_square(self) -> float:
         d = self._deviations
-        return float(np.sum(d * d))
+        return float(np.einsum("ij,ij->", d, d))
 
 
-def per_example_gradients(net, x: Array, labels: Array) -> GradientSet:
-    """Gradient of each example's loss at the network's current parameters.
+def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -> GradientSet:
+    """One gradient row per example at the network's current parameters.
 
-    Examples pass through one at a time, so any normalization layer sees
-    single-example batches; running statistics are left untouched.
+    The examples pass in chunks of batch_size consecutive ones (the last
+    chunk may be shorter), one training forward and backward per chunk with
+    running statistics left untouched. The chunk's mean-loss gradient is a
+    sum of one summand per example, read off the layers' caches (outer
+    products for dense layers, per-example kernel gradients for convs,
+    per-example sums for norm gains and shifts); a row is the chunk size
+    times its example's summand, so each chunk's rows average exactly to
+    that chunk's minibatch gradient.
+
+    Without batch normalization no example's summand depends on the others
+    in its chunk, and a row is that example's own loss gradient, whatever
+    batch_size is. With it, a row is the example's share of the true BN
+    minibatch gradient at batch size batch_size (statistics taken over its
+    chunk, gradient flowing through them), and C is the spread of those
+    shares. Rows then depend on batch_size, and a chunk must give each BN
+    region two or more elements.
     """
     n = x.shape[0]
     if n < 1:
         raise SizeError("need at least one example")
-    rows = []
-    for i in range(n):
-        net.loss_and_grad(x[i : i + 1], labels[i : i + 1], update_stats=False)
-        rows.append(net.flat_grads())
-    return GradientSet(np.stack(rows))
+    if batch_size < 1:
+        raise SizeError(f"batch size must be >= 1, got {batch_size}")
+    rows = np.empty((n, sum(p.value.size for p in net.params())))
+    for start in range(0, n, batch_size):
+        chunk = slice(start, min(start + batch_size, n))
+        size = chunk.stop - start
+        net.loss_and_grad(x[chunk], labels[chunk], update_stats=False)
+        summands = [s.reshape(size, -1) for layer in net.layers for s in layer.grad_summands()]
+        rows[chunk] = np.concatenate(summands, axis=1)
+        rows[chunk] *= size
+    return GradientSet(rows)
 
 
 def noise_constant(gradients: GradientSet) -> float:

@@ -163,6 +163,35 @@ def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Ar
     return conv2d_forward(upstream, flipped), grad_kernel
 
 
+def _summand_args(upstream: Array, x: Array) -> tuple[Array, Array]:
+    """(upstream, x) as tensors, checked to be [b, c_out, h, w] and [b, c_in, h, w]."""
+    upstream, x = as_tensor(upstream), as_tensor(x)
+    if x.ndim != 4 or upstream.ndim != 4:
+        raise DimensionError("expected [b, c, h, w] activations")
+    if upstream.shape[0] != x.shape[0] or upstream.shape[2:] != x.shape[2:]:
+        raise DimensionError(f"upstream {upstream.shape} does not match input {x.shape}")
+    return upstream, x
+
+
+def conv2d_example_kernel_grads(upstream: Array, x: Array) -> Array:
+    """Each batch element's share of conv2d_backward's grad_kernel: [b, c_out, c_in, 3, 3].
+
+    Entry k is the sum over positions (x, y) of upstream[k, o, x, y] * x_pad[k, c, x+i, y+j];
+    the entries sum over k to grad_kernel. One batched product per kernel offset
+    over the padded layout's shifted slices, each image's grid a batch of its own.
+    """
+    upstream, x = _summand_args(upstream, x)
+    (b, c, h, w), o = x.shape, upstream.shape[1]
+    flat, n = _padded(x)
+    cells = (h + 1) * (w + 1)
+    # [b, o, cells]: upstream on each image's grid, 0 at junk (see conv2d_backward)
+    up = _padded(upstream)[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(1, 0, 2)
+    out = np.empty((b, o, c, 3, 3))
+    for i, j, window in _shifted(flat, n, w):
+        out[..., i, j] = up @ window.reshape(c, b, cells).transpose(1, 2, 0)
+    return out
+
+
 @dataclass(frozen=True)
 class SummandReduction:
     """Reductions over the per-summand kernel gradients.
@@ -188,13 +217,8 @@ class SummandReduction:
 
 def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     """Sign-cancellation reductions of the conv kernel-gradient summands."""
-    upstream = as_tensor(upstream)
-    x = as_tensor(x)
-    if x.ndim != 4 or upstream.ndim != 4:
-        raise DimensionError("expected [b, c, h, w] activations")
+    upstream, x = _summand_args(upstream, x)
     (b, c, h, w), o = x.shape, upstream.shape[1]
-    if upstream.shape[0] != b or upstream.shape[2:] != (h, w):
-        raise DimensionError(f"upstream {upstream.shape} does not match input {x.shape}")
     flat, n = _padded(x)
     # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j]
     cols = np.empty((b, h * w, c * 9))

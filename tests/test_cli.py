@@ -109,15 +109,21 @@ class TestExitCodes:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "batch_size 32 exceeds the training set (8)" in capsys.readouterr().err
 
-    def test_runtime_error_after_parse_is_two(self, tmp_path, capsys):
-        # Per-example gradients feed BN one example at a time: a degenerate batch.
+    def test_runtime_error_after_parse_is_two(self, config_path, tmp_path, capsys):
+        taken = tmp_path / "a_file"
+        taken.write_text("")
+        assert main(["noise-bound", "--config", config_path, "--out", str(taken)]) == 2
+        assert "run error" in capsys.readouterr().err
+
+    def test_one_example_bn_chunk_is_one(self, tmp_path, capsys):
+        # per-example gradients come in chunks of 5: the last, of 1, is a degenerate batch
         p = tmp_path / "c.cfg"
         p.write_text(
             "network.kind = dense\nnetwork.norm = batch\nnetwork.depth = 3\n"
-            "noise.examples = 16\nnoise.batch_sizes = 1, 4\n"
+            "train.batch_size = 5\nnoise.examples = 16\nnoise.batch_sizes = 1, 4\n"
         )
-        assert main(["noise-bound", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
-        assert "run error" in capsys.readouterr().err
+        assert main(["noise-bound", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert "last chunk of 1 example" in capsys.readouterr().err
 
 
 class TestAnalysisCommands:
@@ -185,6 +191,18 @@ class TestAnalysisCommands:
         assert [r[0] for r in summary[1:]] == ["1", "2"]
         entries = _csv_rows(os.path.join(out, "condition.csv"))
         assert len(entries) == 1 + 2 * 2
+
+    def test_noise_bound_on_dense_bn(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text(
+            "network.kind = dense\nnetwork.norm = batch\nnetwork.depth = 3\n"
+            "noise.examples = 16\nnoise.batch_sizes = 1, 4\n"
+        )
+        out = str(tmp_path / "o")
+        assert main(["noise-bound", "--config", str(p), "--out", out]) == 0
+        rows = _csv_rows(os.path.join(out, "noise.csv"))
+        assert len(rows) == 1 + 2 * 2
+        assert all(float(r[2]) > 0 for r in rows[1:])
 
     def test_noise_bound(self, config_path, tmp_path):
         out = str(tmp_path / "noise")

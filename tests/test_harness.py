@@ -98,6 +98,19 @@ class TestParseConfig:
         ("network.bn_rho = 1.5\n", r"bn_rho must lie in \[0, 1\]"),
         ("network.bn_rho = -0.1\n", r"bn_rho must lie in \[0, 1\]"),
         ("rmt.sigmas = standard\n", "line 2.*rmt.sigmas"),
+        ("train.weight_decay = inf\n", "weight_decay must be >= 0 and finite"),
+        ("dataset.separation = inf\n", "dataset.separation must be finite"),
+        ("network.bn_eps = inf\n", "bn_eps must be positive and finite"),
+        ("train.schedule = 0.5:inf\n", "every entry finite"),
+        ("rmt.sigmas = inf\n", "rmt.sigmas needs 1 positive finite entries"),
+        ("out.dir =\n", "out.dir must not be empty"),
+        ("rmt.m_list =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
+        ("noise.lrs =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
+        ("noise.batch_sizes =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
+        ("network.kind = dense\nnetwork.norm = batch\ntrain.batch_size = 33\n",
+         "noise.examples = 100 leaves a last chunk of 1 example at train.batch_size = 33"),
+        ("dataset.shape = 3,1,1\ndataset.classes = 3\ntrain.batch_size = 9\n",
+         "last chunk of 1 example"),
     ], ids=lambda v: v.strip().replace("\n", "; "))
     def test_unrunnable_values_rejected(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -311,9 +324,11 @@ class TestEcho:
         assert parse_config(echo) == cfg
 
     def test_empty_lists_round_trip(self):
-        # an empty value whose default is not empty is echoed, not dropped
-        cfg = parse_config(MINIMAL + "rmt.m_list =\nnoise.batch_sizes =\nnoise.lrs =\n")
-        assert cfg.rmt.m_list == () and cfg.noise.lrs == ()
+        # an empty value whose default is not empty is echoed, not dropped (the
+        # empty lists rmt.m_list, noise.lrs and noise.batch_sizes are rejected)
+        cfg = parse_config(MINIMAL + "train.schedule = none\n")
+        assert cfg.schedule == ()
+        assert "train.schedule = none\n" in echo_config(cfg)
         assert parse_config(echo_config(cfg)) == cfg
 
 

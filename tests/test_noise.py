@@ -5,7 +5,9 @@ The worked toy example used throughout: four scalar per-example gradients
 C = (4 + 1 + 0 + 9) / 4 = 3.5. At lr = 1, b = 2 the with-replacement noise
 is C / b = 1.75 and the closed form gives (4 - 2) / (2 * 16) * 14 = 0.875.
 """
+import inspect
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from bnlab.errors import SizeError
-from bnlab.nn import NetworkConfig, build_network
+from bnlab.harness.cli import _init_state
+from bnlab.harness.config import ExperimentConfig, parse_config_file
+from bnlab.nn import BnComponents, NetworkConfig, build_network
 from bnlab.noise import (
     GradientSet,
     closed_form_noise,
@@ -26,6 +30,7 @@ from bnlab.noise import (
 )
 from bnlab.tensor import SeededRng
 
+NOISE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "noise_bound.cfg")
 TOY = GradientSet(np.array([[1.0], [2.0], [3.0], [6.0]]))
 
 
@@ -195,7 +200,9 @@ def loop_summary(matrix, lr, batch_size, trials, seed):
     fields = {
         "noise_constant": c,
         "bound": scale * c / batch_size,
-        "closed_form": scale * (n - batch_size) / (batch_size * n * n) * float(np.sum(d * d)),
+        "closed_form": (
+            scale * (n - batch_size) / (batch_size * n * n) * float(np.einsum("ij,ij->", d, d))
+        ),
     }
     for mode in ("with_replacement", "without_replacement"):
         gen = SeededRng(seed).generator()
@@ -298,3 +305,82 @@ class TestPerExampleGradients:
         net = self._net()
         with pytest.raises(SizeError):
             per_example_gradients(net, np.zeros((0, 1, 2, 2)), np.zeros(0, dtype=int))
+
+    def test_default_chunk_is_the_default_training_batch(self):
+        default = inspect.signature(per_example_gradients).parameters["batch_size"].default
+        assert default == ExperimentConfig.batch_size
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+def _single_example_loop(net, x, labels):
+    """The reference: one forward and backward per example."""
+    rows = []
+    for i in range(x.shape[0]):
+        net.loss_and_grad(x[i : i + 1], labels[i : i + 1], update_stats=False)
+        rows.append(net.flat_grads())
+    return np.stack(rows)
+
+
+def _small_net(**overrides):
+    cfg = dict(depth=3, width=4, class_count=4, input_shape=(3, 5, 5))
+    return build_network(NetworkConfig(**{**cfg, **overrides}), SeededRng(41))
+
+
+def _examples(n=9):
+    gen = SeededRng(42).generator()
+    return gen.normal(size=(n, 3, 5, 5)), gen.integers(0, 4, size=n)
+
+
+class TestChunkedRows:
+    @pytest.mark.parametrize("overrides", [
+        dict(norm="none"),
+        dict(norm="none", residual=True, depth=5),
+        dict(norm="none", kind="dense"),
+        dict(norm="layer"),
+        dict(norm="layer", kind="dense"),
+        dict(norm="group", groups=2),
+    ], ids=["conv", "residual-odd", "dense", "layer", "dense-layer", "group"])
+    def test_rows_are_each_examples_own_gradient_at_any_chunk(self, overrides):
+        net = _small_net(**overrides)
+        x, labels = _examples()
+        want = _single_example_loop(net, x, labels)
+        for batch_size in (1, 2, 4, 9, 128):
+            got = per_example_gradients(net, x, labels, batch_size).matrix
+            assert _rel_err(got, want) <= 1e-12, batch_size
+
+    @pytest.mark.parametrize("overrides", [
+        dict(norm="batch"),
+        dict(norm="batch", residual=True, depth=5),
+        dict(norm="batch", kind="dense"),
+        dict(norm="batch", placement="final_only"),
+        dict(norm="batch", bn_components=BnComponents(use_gamma=False)),
+    ], ids=["conv", "residual-odd", "dense", "final-only", "no-gamma"])
+    def test_bn_chunk_rows_average_to_the_chunk_gradient(self, overrides):
+        net = _small_net(**overrides)
+        x, labels = _examples()
+        bn = next(l for l in net.layers if hasattr(l, "running_mean"))
+        for batch_size in (3, 5, 9):
+            got = per_example_gradients(net, x, labels, batch_size).matrix
+            for start in range(0, 9, batch_size):
+                chunk = slice(start, start + batch_size)
+                net.loss_and_grad(x[chunk], labels[chunk], update_stats=False)
+                assert _rel_err(got[chunk].mean(axis=0), net.flat_grads()) <= 1e-12
+        assert bn.batch_counter == 0 and not bn.stats_initialized
+
+    def test_noise_bound_config_rows_average_to_the_minibatch_gradient(self):
+        # its 64 examples are one chunk, so the rows' mean is the BN minibatch gradient
+        cfg = parse_config_file(NOISE_CFG)
+        assert cfg.network.norm == "batch" and cfg.noise.examples < cfg.batch_size
+        net, _, train, _ = _init_state(cfg)
+        x, labels = train.images[: cfg.noise.examples], train.labels[: cfg.noise.examples]
+        gs = per_example_gradients(net, x, labels, cfg.batch_size)
+        net.loss_and_grad(x, labels, update_stats=False)
+        assert _rel_err(gs.mean_gradient(), net.flat_grads()) <= 1e-12
+
+    def test_bad_chunk_rejected(self):
+        x, labels = _examples()
+        with pytest.raises(SizeError):
+            per_example_gradients(_small_net(norm="none"), x, labels, 0)

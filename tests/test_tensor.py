@@ -14,6 +14,7 @@ from bnlab.tensor import (
     SeededRng,
     as_tensor,
     conv2d_backward,
+    conv2d_example_kernel_grads,
     conv2d_forward,
     conv2d_summand_stats,
     gram_eigenvalues,
@@ -239,6 +240,39 @@ class TestSummandStats:
         assert np.all(s.abs_sum >= s.spatial_partial - tol)
         assert np.all(s.batch_partial >= np.abs(s.total) - tol)
         assert np.all(s.spatial_partial >= np.abs(s.total) - tol)
+
+
+class TestExampleKernelGrads:
+    SHAPES = [(1, 1, 1, 2, 2), (2, 2, 3, 3, 2), (3, 1, 2, 4, 4), (2, 2, 1, 1, 1), (4, 3, 2, 2, 5)]
+
+    def test_agrees_with_summand_stats_per_batch(self):
+        # batch_partial is sum over b of |per-batch kernel gradient|, total its plain sum
+        gen = SeededRng(24).generator()
+        for b, ci, co, h, w in self.SHAPES:
+            x = gen.normal(size=(b, ci, h, w))
+            up = gen.normal(size=(b, co, h, w))
+            per_example = conv2d_example_kernel_grads(up, x)
+            assert per_example.shape == (b, co, ci, 3, 3)
+            s = conv2d_summand_stats(up, x)
+            assert_allclose(np.abs(per_example).sum(axis=0), s.batch_partial,
+                            rtol=1e-12, atol=1e-12)
+            assert_allclose(per_example.sum(axis=0), s.total, rtol=1e-12, atol=1e-12)
+
+    def test_each_entry_is_that_example_alone(self):
+        gen = SeededRng(25).generator()
+        x = gen.normal(size=(3, 2, 4, 3))
+        up = gen.normal(size=(3, 4, 4, 3))
+        k = gen.normal(size=(4, 2, 3, 3))
+        per_example = conv2d_example_kernel_grads(up, x)
+        for i in range(3):
+            _, dk = conv2d_backward(up[i : i + 1], x[i : i + 1], k)
+            assert_allclose(per_example[i], dk, rtol=1e-12, atol=1e-12)
+
+    def test_shape_errors(self):
+        with pytest.raises(DimensionError):
+            conv2d_example_kernel_grads(np.zeros((2, 3, 4, 4)), np.zeros((2, 3, 4)))
+        with pytest.raises(DimensionError):
+            conv2d_example_kernel_grads(np.zeros((3, 3, 4, 4)), np.zeros((2, 1, 4, 4)))
 
 
 def charpoly_coeffs(a):
