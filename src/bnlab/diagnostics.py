@@ -138,6 +138,9 @@ def loss_step_probe(model, batch, alphas) -> LossProbeCurve:
 # ---------------------------------------------------------------------------
 # divergence capture
 
+# where along a diverging update the moment profiles are taken
+CAPTURE_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
+
 
 @dataclass(frozen=True)
 class DivergenceEvent:
@@ -160,20 +163,15 @@ class DivergenceMonitor:
 
     Fires iff the post-update loss on the just-used minibatch exceeds the
     threshold or is non-finite. On firing, re-applies the update scaled by
-    each interpolation fraction (from the saved pre-update parameters),
+    each of CAPTURE_FRACTIONS (from the saved pre-update parameters),
     records a moment profile at each, and restores the post-update state.
     """
 
-    def __init__(self, net: Network, threshold: float = 1e3,
-                 fractions=(0.0, 0.25, 0.5, 0.75, 1.0)):
+    def __init__(self, net: Network, threshold: float = 1e3):
         if threshold <= 0:
             raise ValueError("threshold must be positive")
-        fr = tuple(float(f) for f in fractions)
-        if sorted(fr) != list(fr) or fr[0] != 0.0 or fr[-1] != 1.0:
-            raise ValueError("fractions must ascend from 0.0 to 1.0")
         self.net = net
         self.threshold = float(threshold)
-        self.fractions = fr
 
     def check(self, step: int, batch, pre_params: Array, pre_loss: float,
               post_loss: float) -> DivergenceEvent | None:
@@ -183,7 +181,7 @@ class DivergenceMonitor:
         post_params = self.net.flat_params()
         delta = post_params - pre_params
         profiles = []
-        for f in self.fractions:
+        for f in CAPTURE_FRACTIONS:
             self.net.set_flat_params(pre_params + f * delta)
             profiles.append(depth_moment_profile(self.net, x))
         self.net.set_flat_params(post_params)
@@ -191,7 +189,7 @@ class DivergenceMonitor:
             step=step,
             pre_loss=float(pre_loss),
             post_loss=float(post_loss),
-            fractions=self.fractions,
+            fractions=CAPTURE_FRACTIONS,
             profiles=tuple(profiles),
         )
 
@@ -352,34 +350,23 @@ class ClasswiseGradient:
     flat: Array
 
 
-def classwise_gradient_mask(net: Network, x: Array, labels: Array,
-                            class_index: int) -> ClasswiseGradient:
-    """Backpropagate only class_index's column of the loss gradient.
+def classwise_gradient_split(net: Network, x: Array, labels: Array) -> list[ClasswiseGradient]:
+    """Backpropagate each class's column of the loss gradient alone, off one
+    forward pass.
 
     The columns over all classes sum to the full gradient (masking is linear),
     so this decomposes every parameter's gradient by which logit sourced it.
     """
     logits = net.forward(x, train=True, update_stats=False)
-    k = logits.shape[1]
-    if not 0 <= class_index < k:
-        raise LabelError(f"class_index must lie in [0, {k})")
     _, full = softmax_xent(logits, labels)
-    return _masked_backward(net, full, class_index)
-
-
-def classwise_gradient_split(net: Network, x: Array, labels: Array) -> list[ClasswiseGradient]:
-    """classwise_gradient_mask for every class off a single forward pass."""
-    logits = net.forward(x, train=True, update_stats=False)
-    _, full = softmax_xent(logits, labels)
-    return [_masked_backward(net, full, j) for j in range(logits.shape[1])]
-
-
-def _masked_backward(net: Network, full_grad: Array, j: int) -> ClasswiseGradient:
-    masked = np.zeros_like(full_grad)
-    masked[:, j] = full_grad[:, j]
-    net.backward(masked)
-    norms = {p.name: float(np.linalg.norm(p.grad)) for p in net.params()}
-    return ClasswiseGradient(class_index=j, norms=norms, flat=net.flat_grads())
+    parts = []
+    for j in range(logits.shape[1]):
+        masked = np.zeros_like(full)
+        masked[:, j] = full[:, j]
+        net.backward(masked)
+        norms = {p.name: float(np.linalg.norm(p.grad)) for p in net.params()}
+        parts.append(ClasswiseGradient(class_index=j, norms=norms, flat=net.flat_grads()))
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,1 @@
 """Experiment orchestration: configs, datasets, training loops, artifacts."""
-from .config import DatasetConfig, ExperimentConfig, parse_config, parse_config_file
-from .data import (
-    ChannelStats,
-    LabeledImageSet,
-    augment_batch,
-    pad_crop_flip,
-    parse_cifar10_bin,
-    preprocess,
-    synth_dataset,
-)
-from .run import LegResult, RunArtifact, emit, run_experiment
-
-__all__ = [
-    "ChannelStats",
-    "DatasetConfig",
-    "ExperimentConfig",
-    "LabeledImageSet",
-    "LegResult",
-    "RunArtifact",
-    "augment_batch",
-    "emit",
-    "pad_crop_flip",
-    "parse_cifar10_bin",
-    "parse_config",
-    "parse_config_file",
-    "preprocess",
-    "run_experiment",
-    "synth_dataset",
-]

@@ -10,6 +10,7 @@ Exit codes: 0 success (a recorded divergence is a success), 1 config error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -134,8 +135,16 @@ def _cmd_rmt_condition(cfg: ExperimentConfig, out: str) -> int:
 
 
 def _cmd_noise_bound(cfg: ExperimentConfig, out: str) -> int:
-    net, _, train, _ = _init_state(cfg)
     z = cfg.noise
+    # per-example gradients come in chunks of train.batch_size; a last chunk
+    # of one example gives BN one-element regions on dense nets and 1x1 images
+    one_pixel = cfg.network.kind == "dense" or math.prod(cfg.network.input_shape[1:]) == 1
+    if cfg.network.norm == "batch" and one_pixel and z.examples % cfg.batch_size == 1:
+        raise ConfigError(
+            f"noise.examples = {z.examples} leaves a last chunk of 1 example at "
+            f"train.batch_size = {cfg.batch_size}: batch norm would see one element"
+        )
+    net, _, train, _ = _init_state(cfg)
     if train.n < z.examples:
         raise ConfigError(
             f"noise.examples = {z.examples} but the training set has {train.n}"

@@ -137,28 +137,6 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"noise.batch_sizes entry {b} exceeds noise.examples = {z.examples}"
                 )
-        # noise-bound takes per-example gradients in chunks of train.batch_size; a
-        # last chunk of one example gives BN one-element regions on dense nets and 1x1 images
-        one_pixel = self.network.kind == "dense" or math.prod(self.network.input_shape[1:]) == 1
-        if self.network.norm == "batch" and one_pixel and z.examples % self.batch_size == 1:
-            raise ConfigError(
-                f"noise.examples = {z.examples} leaves a last chunk of 1 example at "
-                f"train.batch_size = {self.batch_size}: batch norm would see one element"
-            )
-        # The default is left to noise-bound's run-time check (as is cifar10,
-        # whose size is known only once loaded): configs for the other
-        # commands, and their echoes, must parse on small synthetic sets.
-        n_train = self.dataset.classes * self.dataset.per_class
-        if (
-            self.dataset.kind == "synthetic"
-            and z.examples != NoiseConfig.examples
-            and z.examples > n_train
-        ):
-            raise ConfigError(
-                f"noise.examples = {z.examples} exceeds the {n_train} synthetic "
-                "training examples (dataset.classes × dataset.per_class)"
-            )
-
 
 
 class Kind(NamedTuple):

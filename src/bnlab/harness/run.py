@@ -146,14 +146,6 @@ def run_leg(
             metrics[-1][4] = net.accuracy(train.images[:2048], train.labels[:2048], b)
             metrics[-1][5] = net.accuracy(test.images, test.labels, b)
 
-    if event is not None:
-        final_acc = float("nan")
-    elif metrics and np.isfinite(metrics[-1][5]):
-        final_acc = metrics[-1][5]
-    elif cfg.epochs > 0 and metrics:
-        final_acc = net.accuracy(test.images, test.labels, b)
-    else:
-        final_acc = float("nan")
     return LegResult(
         lr=lr,
         steps=step,
@@ -161,7 +153,8 @@ def run_leg(
         tables=tables,
         diverged=event is not None,
         event=event,
-        final_test_acc=final_acc,
+        # nan when no epoch ended: no epochs, or a divergence broke this one
+        final_test_acc=metrics[-1][5] if metrics else float("nan"),
     )
 
 
@@ -209,12 +202,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_csv(path: str, columns, rows) -> None:
+def write_csv(path: str, columns, rows) -> str:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(columns)
         for row in rows:
             w.writerow([_fmt(v) for v in row])
+    return path
 
 
 def _leg_dir_name(i: int, lr: float) -> str:
@@ -224,37 +218,26 @@ def _leg_dir_name(i: int, lr: float) -> str:
 def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
     """Write every artifact file; returns the paths written."""
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def put(path, writer):
-        writer(path)
-        written.append(path)
-
-    put(os.path.join(out_dir, "config.txt"),
-        lambda p: _write_text(p, artifact.config_echo))
-
+    written = [_write_text(os.path.join(out_dir, "config.txt"), artifact.config_echo)]
     for i, leg in enumerate(artifact.legs):
         leg_dir = os.path.join(out_dir, _leg_dir_name(i, leg.lr))
         os.makedirs(leg_dir, exist_ok=True)
-        put(os.path.join(leg_dir, "metrics.csv"),
-            lambda p, leg=leg: write_csv(p, METRIC_COLUMNS, leg.metrics))
+        written.append(write_csv(os.path.join(leg_dir, "metrics.csv"), METRIC_COLUMNS, leg.metrics))
         for name, (cols, rows) in leg.tables.items():
-            put(os.path.join(leg_dir, f"{name}.csv"),
-                lambda p, cols=cols, rows=rows: write_csv(p, cols, rows))
+            written.append(write_csv(os.path.join(leg_dir, f"{name}.csv"), cols, rows))
         if leg.event is not None:
             ev = leg.event
-            put(os.path.join(leg_dir, "divergence.json"),
-                lambda p, ev=ev: _write_json(p, {
-                    "step": ev.step,
-                    "pre_loss": ev.pre_loss,
-                    "post_loss": ev.post_loss,
-                    "fractions": list(ev.fractions),
-                }))
+            written.append(_write_json(os.path.join(leg_dir, "divergence.json"), {
+                "step": ev.step,
+                "pre_loss": ev.pre_loss,
+                "post_loss": ev.post_loss,
+                "fractions": list(ev.fractions),
+            }))
             cols, _, moment_rows = INSTRUMENTS["moments"]
             rows = [(f, *row) for f, prof in zip(ev.fractions, ev.profiles)
                     for row in moment_rows(prof)]
-            put(os.path.join(leg_dir, "divergence_moments.csv"),
-                lambda p, cols=cols, rows=rows: write_csv(p, ("fraction", *cols), rows))
+            written.append(write_csv(os.path.join(leg_dir, "divergence_moments.csv"),
+                                     ("fraction", *cols), rows))
 
     summary = {
         "started": artifact.started,
@@ -277,17 +260,18 @@ def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
         if artifact.best_index is None
         else artifact.legs[artifact.best_index].lr,
     }
-    put(os.path.join(out_dir, "summary.json"),
-        lambda p: _write_json(p, summary))
+    written.append(_write_json(os.path.join(out_dir, "summary.json"), summary))
     return written
 
 
-def _write_json(path: str, obj) -> None:
+def _write_json(path: str, obj) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    return path
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
+    return path

@@ -115,6 +115,33 @@ class TestExitCodes:
         assert main(["noise-bound", "--config", config_path, "--out", str(taken)]) == 2
         assert "run error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, batch", [
+        ("network.kind = dense\nnetwork.norm = batch\n", 33),
+        ("dataset.shape = 3,1,1\ndataset.classes = 3\n", 9),
+    ], ids=["dense", "1x1"])
+    def test_last_chunk_of_one_refused_by_noise_bound_only(self, tmp_path, capsys, extra, batch):
+        # 100 examples in chunks of the batch size leave a last chunk of one;
+        # only noise-bound takes per-example gradients
+        p = tmp_path / "c.cfg"
+        p.write_text(f"network.depth = 8\n{extra}train.batch_size = {batch}\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "t")]) == 0
+        assert "leg 0 lr=0.1: " in capsys.readouterr().out
+        assert main(["noise-bound", "--config", str(p), "--out", str(tmp_path / "n")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: noise.examples = 100 leaves a last chunk of 1 example at "
+            f"train.batch_size = {batch}: batch norm would see one element\n"
+        )
+
+    def test_noise_examples_beyond_training_set_refused_by_noise_bound_only(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\ndataset.classes = 4\ndataset.per_class = 10\n"
+                     "train.batch_size = 8\nnoise.examples = 48\n")
+        out = str(tmp_path / "o")
+        assert main(["init-moments", "--config", str(p), "--out", out]) == 0
+        assert main(["noise-bound", "--config", str(p), "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: noise.examples = 48 but the training set has 40\n"
+
     def test_one_example_bn_chunk_is_one(self, tmp_path, capsys):
         # per-example gradients come in chunks of 5: the last, of 1, is a degenerate batch
         p = tmp_path / "c.cfg"

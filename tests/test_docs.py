@@ -1,4 +1,4 @@
-"""README stays in step with the CLI, the instrument registry and scripts/."""
+"""README stays in step with the CLI, the instrument registry and the repo's files."""
 import os
 import re
 
@@ -27,8 +27,10 @@ def test_diagnostics_list_names_every_instrument_with_its_columns():
     assert listed == {name: ", ".join(("step", *cols)) for name, (cols, _, _) in INSTRUMENTS.items()}
 
 
-def test_scripts_section_names_exactly_the_scripts():
-    listed = re.findall(r"^- `scripts/([^`]+)`", _section("Scripts"), flags=re.M)
-    scripts = os.path.join(ROOT, "scripts")
-    files = [f for f in os.listdir(scripts) if os.path.isfile(os.path.join(scripts, f))]
-    assert sorted(listed) == sorted(files)
+def test_every_backticked_repo_path_exists():
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    paths = re.findall(r"`((?:configs|scripts|src|tests|bench)/[^`\s]*)`", text)
+    assert paths
+    missing = [p for p in paths if not os.path.exists(os.path.join(ROOT, p))]
+    assert missing == []

@@ -71,14 +71,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="entry 16 exceeds noise.examples = 8"):
             parse_config(MINIMAL + "noise.examples = 8\nnoise.batch_sizes = 1, 16\n")
 
-    def test_noise_examples_beyond_synthetic_set_rejected(self):
-        small = MINIMAL + "dataset.classes = 4\ndataset.per_class = 10\n"
-        with pytest.raises(ConfigError, match="noise.examples = 48 exceeds the 40"):
-            parse_config(small + "noise.examples = 48\n")
-        assert parse_config(small + "noise.examples = 40\n").noise.examples == 40
-        # the default (100) is checked when noise-bound runs
-        assert parse_config(small).noise.examples == 100
-
     @pytest.mark.parametrize("extra, message", [
         ("network.norm = group\nnetwork.groups = 0\n", "groups must be >= 1"),
         ("network.groups = -4\n", "groups must be >= 1"),
@@ -107,10 +99,6 @@ class TestParseConfig:
         ("rmt.m_list =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("noise.lrs =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("noise.batch_sizes =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
-        ("network.kind = dense\nnetwork.norm = batch\ntrain.batch_size = 33\n",
-         "noise.examples = 100 leaves a last chunk of 1 example at train.batch_size = 33"),
-        ("dataset.shape = 3,1,1\ndataset.classes = 3\ntrain.batch_size = 9\n",
-         "last chunk of 1 example"),
     ], ids=lambda v: v.strip().replace("\n", "; "))
     def test_unrunnable_values_rejected(self, extra, message):
         with pytest.raises(ConfigError, match=message):
