@@ -21,7 +21,8 @@ from ..diagnostics import INSTRUMENTS, depth_moment_profile  # noqa: F401
 from ..errors import BnlabError, ConfigError
 from ..nn import build_network
 from ..noise import noise_summary, per_example_gradients
-from ..rmt import FussCatalanDensity, condition_report, ks_distance, sample_product_spectrum
+from ..rmt import (FussCatalanDensity, condition_report, density, ks_distance,
+                   sample_product_spectrum, support_upper)
 from ..tensor import SeededRng
 from .config import ExperimentConfig, parse_config_file
 from .run import _write_json, emit, load_dataset, run_experiment, write_csv
@@ -78,19 +79,17 @@ def _write_heatmap_matrix(h, out: str) -> None:
 
 
 def _cmd_rmt_density(cfg: ExperimentConfig, out: str) -> int:
-    fc = FussCatalanDensity(cfg.rmt.m)
-    lo, hi = fc.support
-    xs = np.linspace(lo, hi, cfg.rmt.grid_points + 2)[1:-1]
-    rows = [(float(x), float(fc.density(x)), float(fc.cdf(x))) for x in xs]
+    m = cfg.rmt.m
+    cdf = FussCatalanDensity(m).cdf
+    xs = np.linspace(0.0, support_upper(m), cfg.rmt.grid_points + 2)[1:-1]
+    rows = [(float(x), float(density(m, x)), float(cdf(x))) for x in xs]
     write_csv(os.path.join(out, "density.csv"), ("x", "density", "cdf"), rows)
     return 0
 
 
 def _cmd_rmt_spectrum(cfg: ExperimentConfig, out: str) -> int:
     r = cfg.rmt
-    sample = sample_product_spectrum(
-        r.m, r.n, r.trials, cfg.seed, sigmas=r.sigmas or None
-    )
+    sample = sample_product_spectrum(r.m, r.n, r.trials, cfg.seed)
     rows = [
         (t, i, float(sample.per_trial[t, i]))
         for t in range(r.trials)

@@ -36,7 +36,6 @@ class RmtConfig:
     n: int = 128
     trials: int = 10
     grid_points: int = 1000
-    sigmas: tuple[float, ...] = ()  # empty -> all ones
 
 
 @dataclass
@@ -124,10 +123,8 @@ class ExperimentConfig:
             raise ConfigError("rmt.m_list, noise.lrs and noise.batch_sizes must not be empty")
         if r.m < 1 or any(m < 1 for m in r.m_list):
             raise ConfigError("rmt matrix counts must be >= 1")
-        if r.n < 2 or r.trials < 1 or r.grid_points < 16:
-            raise ConfigError("rmt needs n >= 2, trials >= 1, grid_points >= 16")
-        if r.sigmas and (len(r.sigmas) != r.m or not all(0 < s < math.inf for s in r.sigmas)):
-            raise ConfigError(f"rmt.sigmas needs {r.m} positive finite entries")
+        if r.n < 2 or r.trials < 1 or r.grid_points < 1:
+            raise ConfigError("rmt needs n >= 2, trials >= 1, grid_points >= 1")
         if z.examples < 2 or z.trials < 1:
             raise ConfigError("noise needs examples >= 2 and trials >= 1")
         if any(b < 1 for b in z.batch_sizes) or not all(0 < lr < math.inf for lr in z.lrs):
@@ -249,7 +246,6 @@ _ROWS = {
         ("rmt.n", INT),
         ("rmt.trials", INT),
         ("rmt.grid_points", INT),
-        ("rmt.sigmas", FLOATS),
         ("noise.examples", INT),
         ("noise.batch_sizes", INTS),
         ("noise.lrs", LRS),
@@ -325,8 +321,8 @@ def parse_config_file(path: str) -> ExperimentConfig:
 def echo_config(cfg: ExperimentConfig) -> str:
     """Render a config back to parseable key = value text, defaults included.
 
-    A key left at an empty default (dataset.dir, train.lr_sweep, rmt.sigmas)
-    and an instrument that is off are left out."""
+    A key left at an empty default (dataset.dir, train.lr_sweep) and an
+    instrument that is off are left out."""
     out = []
     for key, (kind, path) in _ROWS.items():
         value = _get(cfg, path)

@@ -178,19 +178,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunArtifact:
 def _best_leg(legs: list[LegResult]) -> int | None:
     """Highest final test accuracy among completed legs; ties go to the
     larger learning rate."""
-    best = None
-    for i, leg in enumerate(legs):
-        if leg.diverged or not np.isfinite(leg.final_test_acc):
-            continue
-        if best is None:
-            best = i
-            continue
-        champ = legs[best]
-        if leg.final_test_acc > champ.final_test_acc or (
-            leg.final_test_acc == champ.final_test_acc and leg.lr > champ.lr
-        ):
-            best = i
-    return best
+    done = [i for i, leg in enumerate(legs)
+            if not leg.diverged and np.isfinite(leg.final_test_acc)]
+    return max(done, key=lambda i: (legs[i].final_test_acc, legs[i].lr), default=None)
 
 
 # --- artifact emission --------------------------------------------------------

@@ -16,7 +16,8 @@ interval, so phi is recovered from x by bracketed root finding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid, quad
@@ -26,6 +27,7 @@ from .errors import DomainError, SizeError
 from .tensor import Array, SeededRng, gram_eigenvalues
 
 SATURATION_FLOOR = 1e-300
+CDF_GRID_POINTS = 4001  # phi nodes of FussCatalanDensity's tabulated CDF
 
 
 def support_upper(m: int) -> float:
@@ -113,43 +115,30 @@ def total_mass(m: int) -> float:
     return float(val)
 
 
-@dataclass
+@dataclass(frozen=True)
 class FussCatalanDensity:
-    """The density for M matrices, with a tabulated CDF for distribution tests."""
+    """The limiting law for M matrices, with its CDF tabulated for distribution tests."""
 
     m: int
-    grid_points: int = 4001
-    _cdf_table: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self):
         _check_m(self.m)
-        if self.grid_points < 16:
-            raise SizeError("grid_points must be >= 16")
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, support_upper(self.m))
-
-    def density(self, x):
-        return density(self.m, x)
-
+    @cached_property
     def _table(self):
-        if self._cdf_table is None:
-            hi = _phi_limit(self.m)
-            phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), self.grid_points)
-            g = np.array([_mass_integrand(self.m, p) for p in phis])
-            # mass above each phi equals mass below the corresponding x
-            below = cumulative_trapezoid(g[::-1], phis[::-1], initial=0.0)
-            xs = np.array([x_of_phi(self.m, p) for p in phis])[::-1]
-            cdf = -below  # phis reversed descend, so the integral accumulates negatively
-            cdf = np.clip(cdf, 0.0, 1.0)  # quadrature error can overshoot by ~1e-7
-            xs = np.maximum.accumulate(xs)
-            self._cdf_table = (xs, cdf)
-        return self._cdf_table
+        hi = _phi_limit(self.m)
+        phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
+        g = np.array([_mass_integrand(self.m, p) for p in phis])
+        # mass above each phi equals mass below the corresponding x
+        below = cumulative_trapezoid(g[::-1], phis[::-1], initial=0.0)
+        xs = np.array([x_of_phi(self.m, p) for p in phis])[::-1]
+        cdf = -below  # phis reversed descend, so the integral accumulates negatively
+        cdf = np.clip(cdf, 0.0, 1.0)  # quadrature error can overshoot by ~1e-7
+        return np.maximum.accumulate(xs), cdf
 
     def cdf(self, x):
         """P(X <= x), tabulated by trapezoidal integration in phi."""
-        xs, cdf = self._table()
+        xs, cdf = self._table
         return np.interp(x, xs, cdf, left=0.0, right=float(cdf[-1]))
 
 
@@ -166,27 +155,21 @@ def ks_distance(values: Array, cdf) -> float:
 
 @dataclass(frozen=True)
 class SpectrumSample:
-    """Squared singular values of sampled matrix products.
+    """Squared singular values of sampled products of M N x N matrices
+    with i.i.d. N(0, 1/N) entries.
 
     per_trial[t] holds trial t's Gram eigenvalues in ascending order;
-    eigenvalues pools all trials, sorted. Entries of factor i are drawn
-    N(0, sigmas[i]^2 / N) and the product is rescaled by 1 / prod(sigmas),
-    so the spectrum is invariant to the sigmas.
+    eigenvalues pools all trials, sorted.
     """
 
     m: int
-    n: int
-    sigmas: tuple[float, ...]
-    trials: int
-    seed: int
     eigenvalues: Array
     per_trial: Array
 
 
-def sample_product_spectrum(
-    m: int, n: int, trials: int, seed: int, sigmas=None
-) -> SpectrumSample:
-    """Sample Gram spectra of products of M Gaussian matrices.
+def sample_product_spectrum(m: int, n: int, trials: int, seed: int) -> SpectrumSample:
+    """Sample Gram spectra of products of M N x N matrices whose entries are
+    drawn i.i.d. N(0, 1/N).
 
     Trial t draws from SeededRng(seed, stream=t), so individual trials are
     reproducible in isolation and the result does not depend on evaluation
@@ -197,30 +180,14 @@ def sample_product_spectrum(
         raise SizeError(f"matrix size must be >= 2, got {n}")
     if trials < 1:
         raise SizeError(f"trials must be >= 1, got {trials}")
-    if sigmas is None:
-        sigmas = (1.0,) * m
-    sigmas = tuple(float(s) for s in sigmas)
-    if len(sigmas) != m:
-        raise SizeError(f"need {m} sigmas, got {len(sigmas)}")
-    if any(s <= 0 for s in sigmas):
-        raise DomainError("sigmas must be positive")
-    scale = float(np.prod(sigmas))
     rows = np.empty((trials, n))
     for t in range(trials):
         gen = SeededRng(seed, stream=t).generator()
-        x = gen.normal(0.0, sigmas[0] / np.sqrt(n), size=(n, n))
-        for i in range(1, m):
-            x = x @ gen.normal(0.0, sigmas[i] / np.sqrt(n), size=(n, n))
-        rows[t] = gram_eigenvalues(x / scale)
-    return SpectrumSample(
-        m=m,
-        n=n,
-        sigmas=sigmas,
-        trials=trials,
-        seed=seed,
-        eigenvalues=np.sort(rows.ravel()),
-        per_trial=rows,
-    )
+        x = gen.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
+        for _ in range(1, m):
+            x = x @ gen.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
+        rows[t] = gram_eigenvalues(x)
+    return SpectrumSample(m=m, eigenvalues=np.sort(rows.ravel()), per_trial=rows)
 
 
 @dataclass(frozen=True)
@@ -260,8 +227,7 @@ def condition_report(samples: list[SpectrumSample]) -> ConditionReport:
     for s in samples:
         kappas, smaxes_ok, smaxes_all = [], [], []
         sat = 0
-        for t in range(s.trials):
-            lam = s.per_trial[t]
+        for t, lam in enumerate(s.per_trial):
             lam_min, lam_max = float(lam[0]), float(lam[-1])
             smax = float(np.sqrt(lam_max))
             smaxes_all.append(smax)

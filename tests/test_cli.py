@@ -6,6 +6,7 @@ import os
 import pytest
 
 from bnlab.harness.cli import main
+from bnlab.rmt import support_upper
 
 SMALL = """
 network.depth = 2
@@ -100,6 +101,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: width and groups must be >= 1")
         assert "Traceback" not in err
+
+    def test_removed_sigmas_key_is_one_without_traceback(self, tmp_path, capsys):
+        # factors are N(0, 1/N); per-factor scales would be divided back out
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\nrmt.sigmas = 1\n")
+        assert main(["rmt-spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == "config error: line 2: unknown key 'rmt.sigmas'\n"
 
     @pytest.mark.parametrize("command", ["train", "init-moments"])
     def test_batch_beyond_training_set_is_one(self, tmp_path, capsys, command):
@@ -201,6 +209,15 @@ class TestAnalysisCommands:
         assert len(rows) == 65
         cdfs = [float(r[2]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
+
+    def test_rmt_density_single_point_at_support_midpoint(self, tmp_path):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 1\nrmt.m = 2\nrmt.grid_points = 1\n")
+        out = str(tmp_path / "dens")
+        assert main(["rmt-density", "--config", str(p), "--out", out]) == 0
+        rows = _csv_rows(os.path.join(out, "density.csv"))
+        assert len(rows) == 2
+        assert float(rows[1][0]) == support_upper(2) / 2
 
     def test_rmt_spectrum(self, config_path, tmp_path):
         out = str(tmp_path / "spect")

@@ -4,6 +4,7 @@ import re
 
 from bnlab.diagnostics import INSTRUMENTS
 from bnlab.harness.cli import _DISPATCH
+from bnlab.harness.config import _ROWS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -25,6 +26,16 @@ def test_cli_table_names_every_subcommand():
 def test_diagnostics_list_names_every_instrument_with_its_columns():
     listed = dict(re.findall(r"^  - `(\w+)`: `([^`]+)`", _section("Config grammar"), flags=re.M))
     assert listed == {name: ", ".join(("step", *cols)) for name, (cols, _, _) in INSTRUMENTS.items()}
+
+
+def test_every_backticked_config_key_exists():
+    with open(README, encoding="utf-8") as fh:
+        spans = re.findall(r"`([^`\n]+)`", fh.read())
+    keys = {key for span in spans
+            for key in re.findall(r"\b(?:network|dataset|train|rmt|noise|out)\.\w+", span)}
+    keys -= {key for key in keys if key.endswith((".csv", ".json", ".cfg", ".txt"))}
+    assert keys
+    assert sorted(keys - set(_ROWS)) == []
 
 
 def test_every_backticked_repo_path_exists():

@@ -81,7 +81,6 @@ class TestParseConfig:
         ("dataset.separation = nan\n", "line 2.*dataset.separation.*not a number"),
         ("train.lr_sweep = 0.1, nan\n", "line 2.*train.lr_sweep.*not a number"),
         ("train.schedule = nan:10\n", "line 2.*train.schedule.*not a number"),
-        ("rmt.sigmas = nan\n", "line 2.*rmt.sigmas.*not a number"),
         ("train.base_lr = inf\n", "positive and finite"),
         ("train.lr_sweep = 0.1, inf\n", "positive and finite"),
         ("noise.lrs = 0.1, inf\n", "positive and finite"),
@@ -89,12 +88,10 @@ class TestParseConfig:
         ("network.bn_eps = -1e-5\n", "bn_eps must be positive"),
         ("network.bn_rho = 1.5\n", r"bn_rho must lie in \[0, 1\]"),
         ("network.bn_rho = -0.1\n", r"bn_rho must lie in \[0, 1\]"),
-        ("rmt.sigmas = standard\n", "line 2.*rmt.sigmas"),
         ("train.weight_decay = inf\n", "weight_decay must be >= 0 and finite"),
         ("dataset.separation = inf\n", "dataset.separation must be finite"),
         ("network.bn_eps = inf\n", "bn_eps must be positive and finite"),
         ("train.schedule = 0.5:inf\n", "every entry finite"),
-        ("rmt.sigmas = inf\n", "rmt.sigmas needs 1 positive finite entries"),
         ("out.dir =\n", "out.dir must not be empty"),
         ("rmt.m_list =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("noise.lrs =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
@@ -277,7 +274,6 @@ rmt.m_list = 1,3
 rmt.n = 16
 rmt.trials = 2
 rmt.grid_points = 32
-rmt.sigmas = 0.5,2.0
 noise.examples = 12
 noise.batch_sizes = 2,6
 noise.lrs = 0.5
