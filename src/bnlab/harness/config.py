@@ -108,8 +108,11 @@ class ExperimentConfig:
         if self.dataset.kind == "cifar10" and not self.dataset.directory:
             raise ConfigError("dataset.dir is required for dataset.kind = cifar10")
         if self.dataset.kind == "synthetic":
-            if self.dataset.classes < 2 or self.dataset.per_class < 1:
-                raise ConfigError("synthetic data needs classes >= 2, per_class >= 1")
+            if (self.dataset.classes < 2 or self.dataset.per_class < 1
+                    or self.dataset.test_per_class < 1):
+                raise ConfigError(
+                    "synthetic data needs classes >= 2, per_class >= 1, test_per_class >= 1"
+                )
             if not math.isfinite(self.dataset.separation):
                 raise ConfigError("dataset.separation must be finite")
             dim = math.prod(self.dataset.shape)
@@ -129,6 +132,9 @@ class ExperimentConfig:
             raise ConfigError("noise needs examples >= 2 and trials >= 1")
         if any(b < 1 for b in z.batch_sizes) or not all(0 < lr < math.inf for lr in z.lrs):
             raise ConfigError("noise batch sizes must be >= 1 and lrs positive and finite")
+        for lr in z.lrs:
+            if not math.isfinite(lr * lr):  # the bound scales with lr²
+                raise ConfigError(f"noise.lrs entry {lr!r} overflows: its square is not finite")
         for b in z.batch_sizes:
             if b > z.examples:
                 raise ConfigError(

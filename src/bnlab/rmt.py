@@ -13,6 +13,10 @@ supported on (0, (M+1)^(M+1) / M^M). M = 1 recovers the quarter-circle
 law for squared singular values: rho_1(x) = sqrt(4 - x) / (2 pi sqrt(x))
 on (0, 4). x(phi) decreases from the upper edge to 0 as phi sweeps the
 interval, so phi is recovered from x by bracketed root finding.
+
+scipy is imported inside the two functions that use it (phi_of_x and
+total_mass), so importing this module does not load scipy: a bnlab command
+pays for that import only when it calls one of them.
 """
 from __future__ import annotations
 
@@ -20,8 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.optimize import brentq
 
 from .errors import DomainError, SizeError
 from .tensor import Array, SeededRng, gram_eigenvalues
@@ -71,6 +73,8 @@ def phi_of_x(m: int, x: float, tol: float = 1e-12) -> float:
         return lo_eps
     if x <= x_of_phi(m, hi_eps):
         return hi_eps
+    from scipy.optimize import brentq
+
     return float(
         brentq(
             lambda p: x_of_phi(m, p) - x,
@@ -111,6 +115,8 @@ def _mass_integrand(m: int, phi: float) -> float:
 def total_mass(m: int) -> float:
     """Integral of the density over its support (should be 1)."""
     _check_m(m)
+    from scipy.integrate import quad
+
     val, _ = quad(lambda p: _mass_integrand(m, p), 0.0, _phi_limit(m), limit=200)
     return float(val)
 
@@ -129,8 +135,10 @@ class FussCatalanDensity:
         hi = _phi_limit(self.m)
         phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
         g = np.array([_mass_integrand(self.m, p) for p in phis])
-        # mass above each phi equals mass below the corresponding x
-        below = cumulative_trapezoid(g[::-1], phis[::-1], initial=0.0)
+        # mass above each phi equals mass below the corresponding x;
+        # scipy's cumulative_trapezoid(..., initial=0.0), term for term
+        x, y = phis[::-1], g[::-1]
+        below = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
         xs = np.array([x_of_phi(self.m, p) for p in phis])[::-1]
         cdf = -below  # phis reversed descend, so the integral accumulates negatively
         cdf = np.clip(cdf, 0.0, 1.0)  # quadrature error can overshoot by ~1e-7

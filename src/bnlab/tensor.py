@@ -235,11 +235,15 @@ def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
 def gram_eigenvalues(x: Array) -> Array:
     """Eigenvalues of X^T X in ascending order.
 
-    Computed as squared singular values of X itself, which keeps relative
-    accuracy for the small end of the spectrum; forming X^T X and calling a
-    symmetric eigensolver loses everything below eps * ||X^T X||, which is
-    far too coarse for products of many matrices whose smallest eigenvalue
-    underflows that threshold while staying well above the float64 floor.
+    Computed as squared singular values of X itself. Each singular value
+    carries an absolute error of about eps * sigma_max, not a relative one,
+    so an eigenvalue sigma^2 means something only while sigma stays well
+    above eps * sigma_max: once cond(X) nears 1/eps (about 4.5e15) the
+    small end is rounding noise. For a product of matrices formed before
+    the call, the product's own rounding adds an error of the same size.
+    Forming X^T X and calling a symmetric eigensolver would be worse still:
+    its absolute error is about eps * sigma_max^2, so the small end is lost
+    once cond(X) nears 1/sqrt(eps) (about 6.7e7).
     """
     x = as_tensor(x)
     if x.ndim != 2 or x.shape[0] != x.shape[1]:

@@ -117,6 +117,16 @@ class TestExitCodes:
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "batch_size 32 exceeds the training set (8)" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "init-moments", "noise-bound"])
+    def test_empty_synthetic_test_set_is_one(self, tmp_path, capsys, command):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\ndataset.test_per_class = 0\n")
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            "config error: synthetic data needs classes >= 2, per_class >= 1, "
+            "test_per_class >= 1\n"
+        )
+
     def test_runtime_error_after_parse_is_two(self, config_path, tmp_path, capsys):
         taken = tmp_path / "a_file"
         taken.write_text("")

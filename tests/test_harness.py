@@ -84,6 +84,7 @@ class TestParseConfig:
         ("train.base_lr = inf\n", "positive and finite"),
         ("train.lr_sweep = 0.1, inf\n", "positive and finite"),
         ("noise.lrs = 0.1, inf\n", "positive and finite"),
+        ("noise.lrs = 0.1, 1e300\n", r"noise.lrs entry 1e\+300 overflows"),
         ("network.bn_eps = 0\n", "bn_eps must be positive"),
         ("network.bn_eps = -1e-5\n", "bn_eps must be positive"),
         ("network.bn_rho = 1.5\n", r"bn_rho must lie in \[0, 1\]"),

@@ -9,16 +9,22 @@ Independent oracles used here:
   Catalan number binom((M+1) n, n) / (M n + 1), giving 1, 2, 5 for M = 1
   and 1, 3, 12 for M = 2.
 """
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
 from scipy.special import comb
 
+import bnlab
 from bnlab.errors import DomainError, SizeError
 from bnlab.rmt import (
+    CDF_GRID_POINTS,
     ConditionEntry,
     FussCatalanDensity,
     SpectrumSample,
@@ -173,6 +179,17 @@ class TestCdf:
         assert fc.cdf(-1.0) == 0.0
         assert_allclose(fc.cdf(100.0), 1.0, atol=1e-6)
 
+    @pytest.mark.parametrize("m", [1, 2, 4, 8])
+    def test_table_byte_identical_to_scipy_cumulative_trapezoid(self, m):
+        hi = _phi_limit(m)
+        phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
+        g = np.array([_mass_integrand(m, p) for p in phis])
+        cdf = np.clip(-cumulative_trapezoid(g[::-1], phis[::-1], initial=0.0), 0.0, 1.0)
+        xs = np.maximum.accumulate(np.array([x_of_phi(m, p) for p in phis])[::-1])
+        got_xs, got_cdf = FussCatalanDensity(m)._table
+        assert got_xs.tobytes() == xs.tobytes()
+        assert got_cdf.tobytes() == cdf.tobytes()
+
 
 class TestKsDistance:
     def test_hand_value(self):
@@ -265,3 +282,22 @@ class TestConditionReport:
         )
         assert [s.m for s in rep.summaries] == [1, 2]
         assert isinstance(rep.entries[0], ConditionEntry)
+
+
+def test_importing_the_program_leaves_scipy_unloaded():
+    # scipy loads on first use, inside total_mass and phi_of_x only
+    script = (
+        "import sys\n"
+        "import bnlab.harness.cli, bnlab.rmt\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "print(bnlab.rmt.total_mass(2), bnlab.rmt.phi_of_x(2, 1.0))\n"
+    )
+    src = os.path.dirname(os.path.dirname(bnlab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mass, phi = map(float, proc.stdout.split())
+    assert_allclose(mass, 1.0, atol=1e-8)
+    assert_allclose(x_of_phi(2, phi), 1.0, rtol=1e-10)
