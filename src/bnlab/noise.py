@@ -176,16 +176,19 @@ def empirical_sgd_noise(
     key = (batch_size, trials, seed, mode)
     per_trial = gradients._draws.get(key)
     if per_trial is None:
-        devs = gradients.deviations()
-        gen = SeededRng(seed).generator()
-        per_trial = np.empty(trials)
-        for t in range(trials):
-            if mode == "with_replacement":
-                idx = gen.integers(0, n, size=batch_size)
-            else:
-                idx = gen.permutation(n)[:batch_size]
-            diff = devs[idx].mean(axis=0)
-            per_trial[t] = float(diff @ diff)
+        per_trial = np.zeros(trials)
+        # Without replacement at b = N every trial takes the whole set, whose mean
+        # deviation is 0 by definition; drawing it would leave only rounding noise.
+        if mode == "with_replacement" or batch_size < n:
+            devs = gradients.deviations()
+            gen = SeededRng(seed).generator()
+            for t in range(trials):
+                if mode == "with_replacement":
+                    idx = gen.integers(0, n, size=batch_size)
+                else:
+                    idx = gen.permutation(n)[:batch_size]
+                diff = devs[idx].mean(axis=0)
+                per_trial[t] = float(diff @ diff)
         per_trial.flags.writeable = False
         gradients._draws[key] = per_trial
     scale = lr * lr

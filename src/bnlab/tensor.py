@@ -1,11 +1,14 @@
 """Dense float64 arrays: seeded streams, initialization, 3x3 convolution, Gram spectra.
 
-All operations are pure functions over numpy float64 arrays. Stateful things
-(parameter stores, running statistics) live in higher layers; nothing here
-mutates its inputs.
+Functions over numpy float64 arrays; none mutates its inputs. Stateful things
+(parameter stores, running statistics) live in higher layers. The conv kernels
+take their padded grids, accumulator and products from module-private scratch
+buffers that are reused across calls and never returned, so a result stays
+valid after later calls; one thread at a time calls these kernels.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,16 +91,34 @@ def init_tensor(shape: tuple[int, ...], scheme: InitScheme, rng: SeededRng) -> A
     return rng.generator().normal(0.0, std, size=shape)
 
 
-def _padded(x: Array) -> tuple[Array, int]:
+# One flat buffer per role, grown on demand and kept: freeing the ~0.5 MB
+# buffers after each call hands them back to the OS, and every call then
+# page-faults them in again. A role's view is overwritten by the next call that
+# takes it, so two arrays live at once must take distinct roles.
+_SCRATCH: dict[str, Array] = {}
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> Array:
+    """A C-contiguous float64 view of `shape` on role's buffer, contents undefined."""
+    size = math.prod(shape)
+    buf = _SCRATCH.get(role)
+    if buf is None or buf.size < size:
+        buf = _SCRATCH[role] = np.empty(size)
+    return buf[:size].reshape(shape)
+
+
+def _padded(x: Array, role: str) -> tuple[Array, int]:
     """Images end to end on one zero-padded grid: ([c, w + 2 + n + w + 2], n).
 
     Rows end in a zero and images in a zero row the next image shares as padding.
     Output (k, r, s) is grid position p = k*(h+1)*(w+1) + r*(w+1) + s, with r = h or
     s = w junk; its input under kernel offset (i, j) is column p + i*(w+1) + j.
+    The grid is a view on role's scratch buffer.
     """
     b, c, h, w = x.shape
     n = b * (h + 1) * (w + 1)
-    flat = np.zeros((c, n + 2 * w + 4))
+    flat = _scratch(role, (c, n + 2 * w + 4))
+    flat.fill(0.0)
     grid = flat[:, w + 2 : w + 2 + n].reshape(c, b, h + 1, w + 1)
     grid[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
     return flat, n
@@ -128,13 +149,21 @@ def conv2d_forward(x: Array, kernel: Array) -> Array:
     """
     x, kernel = as_tensor(x), as_tensor(kernel)
     _check_conv_args(x, kernel)
-    (b, c, h, w), o = x.shape, kernel.shape[0]
-    flat, n = _padded(x)
-    acc, term = np.zeros((o, n)), np.empty((o, n))
+    return _conv_padded(*_padded(x, "x"), kernel, x.shape)
+
+
+def _conv_padded(flat: Array, n: int, kernel: Array, shape: tuple[int, ...]) -> Array:
+    """conv2d_forward of the [b, c, h, w] input `shape` whose padded grid is (flat, n)."""
+    b, _, h, w = shape
+    o = kernel.shape[0]
+    acc, term = _scratch("acc", (o, n)), _scratch("term", (o, n))
+    acc.fill(0.0)
     for i, j, window in _shifted(flat, n, w):
         acc += np.matmul(kernel[:, :, i, j], window, out=term)
     out = acc.reshape(o, b, h + 1, w + 1)[:, :, :h, :w]
-    return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+    # copy(), not ascontiguousarray: at b = o = h = w = 1 the slice is already
+    # contiguous, and the latter would return the scratch itself.
+    return out.transpose(1, 0, 2, 3).copy()
 
 
 def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Array]:
@@ -153,14 +182,15 @@ def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Ar
         raise DimensionError(
             f"upstream shape {upstream.shape} does not match output {(b, o, h, w)}"
         )
-    flat, n = _padded(x)
+    flat, n = _padded(x, "x")
+    up_flat = _padded(upstream, "up")[0]
     # Read from the first image on, padded upstream is upstream on the grid, 0 at junk.
-    up = _padded(upstream)[0][:, w + 2 :][:, :n]
+    up = up_flat[:, w + 2 :][:, :n]
     grad_kernel = np.empty((o, c, 3, 3))
     for i, j, window in _shifted(flat, n, w):
         grad_kernel[:, :, i, j] = up @ window.T
-    flipped = kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-    return conv2d_forward(upstream, flipped), grad_kernel
+    flipped = as_tensor(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
+    return _conv_padded(up_flat, n, flipped, upstream.shape), grad_kernel
 
 
 def _summand_args(upstream: Array, x: Array) -> tuple[Array, Array]:
@@ -182,10 +212,10 @@ def conv2d_example_kernel_grads(upstream: Array, x: Array) -> Array:
     """
     upstream, x = _summand_args(upstream, x)
     (b, c, h, w), o = x.shape, upstream.shape[1]
-    flat, n = _padded(x)
+    flat, n = _padded(x, "x")
     cells = (h + 1) * (w + 1)
     # [b, o, cells]: upstream on each image's grid, 0 at junk (see conv2d_backward)
-    up = _padded(upstream)[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(1, 0, 2)
+    up = _padded(upstream, "up")[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(1, 0, 2)
     out = np.empty((b, o, c, 3, 3))
     for i, j, window in _shifted(flat, n, w):
         out[..., i, j] = up @ window.reshape(c, b, cells).transpose(1, 2, 0)
@@ -219,9 +249,9 @@ def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     """Sign-cancellation reductions of the conv kernel-gradient summands."""
     upstream, x = _summand_args(upstream, x)
     (b, c, h, w), o = x.shape, upstream.shape[1]
-    flat, n = _padded(x)
-    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j]
-    cols = np.empty((b, h * w, c * 9))
+    flat, n = _padded(x, "x")
+    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j], every entry written
+    cols = _scratch("cols", (b, h * w, c * 9))
     for i, j, window in _shifted(flat, n, w):
         grid = window.reshape(c, b, h + 1, w + 1)[:, :, :h, :w]
         cols.reshape(b, h, w, c, 3, 3)[..., i, j] = grid.transpose(1, 2, 3, 0)

@@ -153,9 +153,15 @@ class TestEmpiricalNoise:
             assert_allclose(wr, c / b, rtol=1e-12)
             assert_allclose(wo, c * (6 - b) / (b * 5), rtol=1e-12)
 
-    def test_full_batch_without_replacement_is_exactly_zero(self):
+    @pytest.mark.parametrize(
+        "gradients",
+        [TOY, GradientSet(np.random.default_rng(0).normal(size=(8, 5)))],
+        ids=["toy", "normal-8x5"],
+    )
+    def test_full_batch_without_replacement_is_exactly_zero(self, gradients):
+        # the float set's deviations have column means off 0 by rounding
         est = empirical_sgd_noise(
-            TOY, 1.0, 4, trials=50, seed=3, mode="without_replacement"
+            gradients, 1.0, gradients.n, trials=50, seed=3, mode="without_replacement"
         )
         assert est.estimate == 0.0
 
@@ -210,6 +216,9 @@ def loop_summary(matrix, lr, batch_size, trials, seed):
         for t in range(trials):
             if mode == "with_replacement":
                 idx = gen.integers(0, n, size=batch_size)
+            elif batch_size == n:
+                per_trial[t] = 0.0  # the whole set, whose mean deviation is 0 exactly
+                continue
             else:
                 idx = gen.permutation(n)[:batch_size]
             diff = d[idx].mean(axis=0)

@@ -275,6 +275,42 @@ class TestExampleKernelGrads:
             conv2d_example_kernel_grads(np.zeros((3, 3, 4, 4)), np.zeros((2, 1, 4, 4)))
 
 
+class TestScratchReuse:
+    """The conv kernels reuse private scratch buffers; no result may be a view of one."""
+
+    @staticmethod
+    def results(up, x, k):
+        dx, dk = conv2d_backward(up, x, k)
+        stats = conv2d_summand_stats(up, x)
+        return [conv2d_forward(x, k), dx, dk, conv2d_example_kernel_grads(up, x),
+                *vars(stats).values()]
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    # (b, c_in, c_out, h, w); 1x1x1x1 makes the forward slice contiguous as it stands
+    @pytest.mark.parametrize("first", [(1, 1, 1, 1, 1), (2, 3, 2, 4, 5)], ids=str)
+    def test_results_outlive_later_calls(self, first):
+        gen = SeededRng(26).generator()
+
+        def args(b, ci, co, h, w):
+            return (gen.normal(size=(b, co, h, w)), gen.normal(size=(b, ci, h, w)),
+                    gen.normal(size=(co, ci, 3, 3)))
+
+        first_args = args(*first)
+        kept = self.results(*first_args)
+        copies = [r.copy() for r in kept]
+        # the same shape again overwrites the buffers in place; then larger, then
+        # smaller, so the buffers grow and hold stale values where padding goes
+        for shape in [first, (5, 4, 3, 9, 7), (1, 2, 1, 1, 2), (3, 1, 4, 2, 3)]:
+            self.results(*args(*shape))
+        self.assert_same_bits(kept, copies)
+        self.assert_same_bits(self.results(*first_args), copies)
+
+
 def charpoly_coeffs(a):
     """Faddeev-LeVerrier recursion; returns monic coefficients, highest first."""
     n = a.shape[0]
