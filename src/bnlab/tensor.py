@@ -250,8 +250,8 @@ def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     upstream, x = _summand_args(upstream, x)
     (b, c, h, w), o = x.shape, upstream.shape[1]
     flat, n = _padded(x, "x")
-    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j], every entry written
-    cols = _scratch("cols", (b, h * w, c * 9))
+    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j]
+    cols = np.empty((b, h * w, c * 9))
     for i, j, window in _shifted(flat, n, w):
         grid = window.reshape(c, b, h + 1, w + 1)[:, :, :h, :w]
         cols.reshape(b, h, w, c, 3, 3)[..., i, j] = grid.transpose(1, 2, 3, 0)

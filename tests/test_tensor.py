@@ -291,7 +291,8 @@ class TestScratchReuse:
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
-    # (b, c_in, c_out, h, w); 1x1x1x1 makes the forward slice contiguous as it stands
+    # (b, c_in, c_out, h, w); at 1x1x1x1 the forward output's slice of the
+    # accumulator is contiguous already
     @pytest.mark.parametrize("first", [(1, 1, 1, 1, 1), (2, 3, 2, 4, 5)], ids=str)
     def test_results_outlive_later_calls(self, first):
         gen = SeededRng(26).generator()
