@@ -186,9 +186,11 @@ def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch"
 def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, Array]:
     """Gradients through norm_forward: (grad_input, grad_gamma, grad_beta).
 
-    Fresh statistics pass the gradient on through the region mean and
-    variance; frozen ones are constants. Toggled-off components contribute
-    no gradient: grad_gamma / grad_beta are zero when theirs is off.
+    One chain, each step guarded by its component: through the gain; with
+    fresh statistics and the variance division, minus the variance term;
+    through 1/std; with fresh statistics and mean subtraction, minus the
+    region mean. Frozen statistics are constants. Toggled-off components
+    contribute no gradient: grad_gamma / grad_beta are zero when theirs is off.
     """
     if cache is None:
         raise CacheMismatchError("no forward cache available")
@@ -206,30 +208,21 @@ def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, A
         dbeta = dout.sum(axis=affine_axes)
     if comp.use_gamma:
         dgamma = (dout * cache.xhat).sum(axis=affine_axes)
-        dxhat = dout * _per_channel(cache.gamma, ndim)
-    else:
-        dxhat = dout
-    dxhat = dxhat.reshape(cache.region_shape)
+    # dx is this call's own array, so each step updates it in place (as in norm_forward)
+    dx = dout * _per_channel(cache.gamma, ndim) if comp.use_gamma else dout.copy()
+    dx = dx.reshape(cache.region_shape)
 
     axes, n, inv = cache.axes, cache.n, cache.inv
-    if not cache.fresh:
-        dx = dxhat * inv if comp.use_var else dxhat
-    elif comp.use_var:
+    if cache.fresh and comp.use_var:
+        # var is taken about the mean even when the mean is not subtracted
         xr = cache.x.reshape(cache.region_shape)
         centered = xr - cache.mean
-        dvar = (dxhat * (centered if comp.use_mean else xr)).sum(
-            axis=axes, keepdims=True
-        ) * (-0.5) * inv**3
-        dx = dxhat * inv + dvar * 2.0 * centered / n
-        if comp.use_mean:
-            dmean = -(dxhat.sum(axis=axes, keepdims=True)) * inv + dvar * (
-                -2.0 / n
-            ) * centered.sum(axis=axes, keepdims=True)
-            dx = dx + dmean / n
-    else:
-        dx = dxhat
-        if comp.use_mean:
-            dx = dx - dxhat.sum(axis=axes, keepdims=True) / n
+        proj = (dx * (centered if comp.use_mean else xr)).sum(axis=axes, keepdims=True)
+        dx -= proj * (inv * inv / n) * centered
+    if comp.use_var:
+        dx *= inv
+    if cache.fresh and comp.use_mean:
+        dx -= dx.mean(axis=axes, keepdims=True)
     return dx.reshape(cache.x.shape), dgamma, dbeta
 
 

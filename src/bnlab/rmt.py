@@ -55,7 +55,7 @@ def x_of_phi(m: int, phi: float) -> float:
         raise DomainError(f"phi must lie in (0, pi/{m + 1}), got {phi}")
     u = np.sin((m + 1) * phi)
     v = np.sin(m * phi)
-    return float(u ** (m + 1) / (np.sin(phi) * v**m))
+    return float((u / v) ** m * u / np.sin(phi))
 
 
 def phi_of_x(m: int, x: float, tol: float = 1e-12) -> float:

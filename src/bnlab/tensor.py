@@ -48,16 +48,14 @@ class SeededRng:
 class InitScheme:
     """Weight initialization family.
 
-    kind: "xavier" (var = 2 / (fan_in + fan_out)), "he" (var = 2 / fan_in),
-    or "gaussian" (std = scale, fans ignored). Draws are i.i.d. zero-mean
-    normal in every case.
+    kind: "xavier" (var = 2 / (fan_in + fan_out)) or "he" (var = 2 / fan_in).
+    Draws are i.i.d. zero-mean normal in either case.
     """
 
     kind: str
-    scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("xavier", "he", "gaussian"):
+        if self.kind not in ("xavier", "he"):
             raise ValueError(f"unknown init scheme {self.kind!r}")
 
 
@@ -80,14 +78,11 @@ def init_tensor(shape: tuple[int, ...], scheme: InitScheme, rng: SeededRng) -> A
     """Draw a freshly initialized tensor for the given scheme."""
     if any(int(s) <= 0 for s in shape):
         raise DimensionError(f"all dims must be positive, got {shape}")
-    if scheme.kind == "gaussian":
-        std = scheme.scale
+    fan_in, fan_out = _fans(tuple(int(s) for s in shape))
+    if scheme.kind == "xavier":
+        std = np.sqrt(2.0 / (fan_in + fan_out))
     else:
-        fan_in, fan_out = _fans(tuple(int(s) for s in shape))
-        if scheme.kind == "xavier":
-            std = np.sqrt(2.0 / (fan_in + fan_out))
-        else:
-            std = np.sqrt(2.0 / fan_in)
+        std = np.sqrt(2.0 / fan_in)
     return rng.generator().normal(0.0, std, size=shape)
 
 
@@ -248,18 +243,19 @@ class SummandReduction:
 def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     """Sign-cancellation reductions of the conv kernel-gradient summands."""
     upstream, x = _summand_args(upstream, x)
+    per_batch = conv2d_example_kernel_grads(upstream, x)
+    abs_sum = conv2d_example_kernel_grads(np.abs(upstream), np.abs(x)).sum(axis=0)
     (b, c, h, w), o = x.shape, upstream.shape[1]
     flat, n = _padded(x, "x")
-    # cols[k, r * w + s, (c, i, j)] = x_pad[k, c, r + i, s + j]
-    cols = np.empty((b, h * w, c * 9))
+    cells = (h + 1) * (w + 1)
+    # [cells, o, b] @ [cells, b, c] per offset: each grid cell's sum over b, 0 at junk
+    up = _padded(upstream, "up")[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(2, 0, 1)
+    spatial_partial = np.empty((o, c, 3, 3))
     for i, j, window in _shifted(flat, n, w):
-        grid = window.reshape(c, b, h + 1, w + 1)[:, :, :h, :w]
-        cols.reshape(b, h, w, c, 3, 3)[..., i, j] = grid.transpose(1, 2, 3, 0)
-    up = upstream.reshape(b, o, h * w)
-    per_batch = up @ cols  # sum over (x, y) for each batch element
-    per_pos = np.ascontiguousarray(up.transpose(2, 1, 0)) @ cols.transpose(1, 0, 2)
-    fields = (per_batch, np.abs(up) @ np.abs(cols), np.abs(per_batch), np.abs(per_pos))
-    return SummandReduction(*(f.sum(axis=0).reshape(o, c, 3, 3) for f in fields))
+        per_pos = up @ window.reshape(c, b, cells).transpose(2, 1, 0)
+        spatial_partial[..., i, j] = np.abs(per_pos).sum(axis=0)
+    return SummandReduction(per_batch.sum(axis=0), abs_sum, np.abs(per_batch).sum(axis=0),
+                            spatial_partial)
 
 
 def gram_eigenvalues(x: Array) -> Array:

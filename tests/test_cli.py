@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 import csv
 import json
+import math
 import os
 
 import pytest
@@ -237,6 +238,20 @@ class TestAnalysisCommands:
         summary = json.load(open(os.path.join(out, "spectrum_summary.json")))
         assert summary["m"] == 2
         assert 0.0 <= summary["ks_distance_to_limit"] <= 1.0
+
+    @pytest.mark.parametrize("m", [28, 100, 200])
+    @pytest.mark.parametrize("command", ["rmt-density", "rmt-spectrum"])
+    def test_rmt_many_factors_finite(self, command, m, tmp_path):
+        # sin(m phi)^m underflows near phi = 0: density from m = 28, the KS table from 200
+        p = tmp_path / "c.cfg"
+        p.write_text(f"network.depth = 1\nrmt.m = {m}\nrmt.n = 16\nrmt.trials = 2\n"
+                     "rmt.grid_points = 64\n")
+        out = tmp_path / "o"
+        assert main([command, "--config", str(p), "--out", str(out)]) == 0
+        values = [float(v) for f in out.glob("*.csv") for row in _csv_rows(f)[1:] for v in row]
+        for f in out.glob("*.json"):
+            values += [v for v in json.load(open(f)).values() if isinstance(v, float)]
+        assert values and all(math.isfinite(v) for v in values)
 
     def test_rmt_condition(self, config_path, tmp_path):
         out = str(tmp_path / "cond")

@@ -191,19 +191,27 @@ class TestBnBackward:
         assert_array_equal(layer.gamma.grad, np.zeros(2))
         assert_array_equal(layer.beta.grad, np.zeros(2))
 
-    @pytest.mark.parametrize(
-        "comp", list(itertools.product([False, True], repeat=4))
-    )
-    def test_finite_difference_all_toggles(self, comp):
+    @pytest.mark.parametrize("comp,stale,flat", [
+        pytest.param(comp, stale, flat,
+                     id="-".join([f"comp{k}"] + ["stale"] * stale + ["2d"] * flat))
+        for stale in (False, True) for flat in (False, True)
+        for k, comp in enumerate(itertools.product([False, True], repeat=4))
+    ])
+    def test_finite_difference_all_toggles(self, comp, stale, flat):
+        # stale: period 2 after one updating forward, so the statistics are frozen
         components = BnComponents(*comp)
-        layer = make_bn(2, components=components)
+        layer = make_bn(2, components=components, period=2 if stale else 1)
         gen = SeededRng(5).generator()
         layer.gamma.value[:] = gen.uniform(0.5, 2.0, size=2)
         layer.beta.value[:] = gen.normal(size=2)
-        x = gen.normal(1.0, 2.0, size=(3, 2, 2, 2))
-        proj = gen.normal(size=(3, 2, 2, 2))
+        shape = (3, 2) if flat else (3, 2, 2, 2)
+        x = gen.normal(1.0, 2.0, size=shape)
+        proj = gen.normal(size=shape)
+        if stale:
+            layer.forward(gen.normal(size=shape))
 
         layer.forward(x, update_stats=False)
+        assert layer.cache.fresh is not stale
         dx = layer.backward(proj)
         dgamma, dbeta = layer.gamma.grad.copy(), layer.beta.grad.copy()
 
