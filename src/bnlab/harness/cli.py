@@ -22,7 +22,7 @@ from ..errors import BnlabError, ConfigError
 from ..nn import build_network
 from ..noise import noise_summary, per_example_gradients
 from ..rmt import (FussCatalanDensity, condition_report, density, ks_distance,
-                   sample_product_spectrum, support_upper)
+                   sample_product_spectra, sample_product_spectrum, support_upper)
 from ..tensor import SeededRng
 from .config import ExperimentConfig, parse_config_file
 from .run import _write_json, emit, load_dataset, run_experiment, write_csv
@@ -80,9 +80,8 @@ def _write_heatmap_matrix(h, out: str) -> None:
 
 def _cmd_rmt_density(cfg: ExperimentConfig, out: str) -> int:
     m = cfg.rmt.m
-    cdf = FussCatalanDensity(m).cdf
     xs = np.linspace(0.0, support_upper(m), cfg.rmt.grid_points + 2)[1:-1]
-    rows = [(float(x), float(density(m, x)), float(cdf(x))) for x in xs]
+    rows = zip(xs.tolist(), density(m, xs).tolist(), FussCatalanDensity(m).cdf(xs).tolist())
     write_csv(os.path.join(out, "density.csv"), ("x", "density", "cdf"), rows)
     return 0
 
@@ -111,10 +110,7 @@ def _cmd_rmt_spectrum(cfg: ExperimentConfig, out: str) -> int:
 
 def _cmd_rmt_condition(cfg: ExperimentConfig, out: str) -> int:
     r = cfg.rmt
-    samples = [
-        sample_product_spectrum(m, r.n, r.trials, cfg.seed) for m in r.m_list
-    ]
-    report = condition_report(samples)
+    report = condition_report(sample_product_spectra(r.m_list, r.n, r.trials, cfg.seed))
     write_csv(
         os.path.join(out, "condition.csv"),
         ("m", "trial", "kappa", "sigma_max", "saturated"),

@@ -12,11 +12,11 @@ parametrized by phi in (0, pi/(M+1)) through
 supported on (0, (M+1)^(M+1) / M^M). M = 1 recovers the quarter-circle
 law for squared singular values: rho_1(x) = sqrt(4 - x) / (2 pi sqrt(x))
 on (0, 4). x(phi) decreases from the upper edge to 0 as phi sweeps the
-interval, so phi is recovered from x by bracketed root finding.
+interval, so phi is recovered from x by bisection, a whole array at once.
 
-scipy is imported inside the two functions that use it (phi_of_x and
-total_mass), so importing this module does not load scipy: a bnlab command
-pays for that import only when it calls one of them.
+Everything here is NumPy: the inversion is bisection, the total mass is
+Gauss-Legendre quadrature and the CDF table is the trapezoid rule, so no
+bnlab command loads SciPy.
 """
 from __future__ import annotations
 
@@ -30,6 +30,7 @@ from .tensor import Array, SeededRng, gram_eigenvalues
 
 SATURATION_FLOOR = 1e-300
 CDF_GRID_POINTS = 4001  # phi nodes of FussCatalanDensity's tabulated CDF
+MASS_NODES = 256  # Gauss-Legendre nodes of total_mass
 
 
 def support_upper(m: int) -> float:
@@ -47,78 +48,91 @@ def _phi_limit(m: int) -> float:
     return np.pi / (m + 1)
 
 
+def _x(m: int, phi: np.ndarray) -> np.ndarray:
+    """x(phi) on an array, as (u / v)^m * u / sin(phi): u = sin((m+1) phi) and
+    v = sin(m phi) are raised to the m-th power only as their ratio, which
+    stays finite where each of them alone would underflow."""
+    u = np.sin((m + 1) * phi)
+    v = np.sin(m * phi)
+    return (u / v) ** m * u / np.sin(phi)
+
+
 def x_of_phi(m: int, phi: float) -> float:
     """The squared-singular-value coordinate at parameter phi."""
     _check_m(m)
     phi = float(phi)
     if not 0.0 < phi < _phi_limit(m):
         raise DomainError(f"phi must lie in (0, pi/{m + 1}), got {phi}")
-    u = np.sin((m + 1) * phi)
-    v = np.sin(m * phi)
-    return float((u / v) ** m * u / np.sin(phi))
+    return float(_x(m, np.array([phi]))[0])
 
 
-def phi_of_x(m: int, x: float, tol: float = 1e-12) -> float:
-    """Invert x_of_phi on the open support by bracketed root finding."""
+def _bisect_phi(m: int, x: np.ndarray) -> np.ndarray:
+    """phi with x(phi) = x for each element of a 1-D array inside the support.
+
+    Bisection of [1e-12, 1 - 1e-14] * pi/(m+1) until no midpoint lies strictly
+    between its bracket's ends; an element stops moving once its own bracket
+    has, so each result is the same whatever else the array holds. x beyond
+    the bracket's images gets the bracket's end.
+    """
+    top = _phi_limit(m)
+    ends = np.array([top * 1e-12, top * (1.0 - 1e-14)])
+    x_ends = _x(m, ends)
+    lo = np.full(x.shape, ends[0])
+    hi = np.full(x.shape, ends[1])
+    while True:
+        mid = 0.5 * (lo + hi)
+        moving = (lo < mid) & (mid < hi)
+        if not moving.any():
+            break
+        up = _x(m, mid) > x  # x(phi) decreases, so the root lies above mid
+        lo = np.where(moving & up, mid, lo)
+        hi = np.where(moving & ~up, mid, hi)
+    return np.where(x >= x_ends[0], ends[0], np.where(x <= x_ends[1], ends[1], lo))
+
+
+def phi_of_x(m: int, x):
+    """Invert x_of_phi on the open support (scalar or array), by bisection to
+    the float64 fixed point."""
     _check_m(m)
-    x = float(x)
+    xs = np.asarray(x, dtype=np.float64)
     upper = support_upper(m)
-    if not 0.0 < x < upper:
-        raise DomainError(f"x must lie in (0, {upper}), got {x}")
-    hi = _phi_limit(m)
-    lo_eps = hi * 1e-12
-    hi_eps = hi * (1.0 - 1e-14)
-    # x_of_phi decreases in phi; handle queries outside the bracketable range
-    if x >= x_of_phi(m, lo_eps):
-        return lo_eps
-    if x <= x_of_phi(m, hi_eps):
-        return hi_eps
-    from scipy.optimize import brentq
-
-    return float(
-        brentq(
-            lambda p: x_of_phi(m, p) - x,
-            lo_eps,
-            hi_eps,
-            xtol=tol * hi,
-            rtol=4 * np.finfo(float).eps,
-        )
-    )
+    outside = ~((xs > 0.0) & (xs < upper))
+    if outside.any():
+        raise DomainError(f"x must lie in (0, {upper}), got {xs[outside].flat[0]}")
+    phi = _bisect_phi(m, xs.reshape(-1)).reshape(xs.shape)
+    return float(phi) if xs.ndim == 0 else phi
 
 
 def density(m: int, x) -> np.ndarray | float:
     """Limiting density of squared singular values at x (scalar or array)."""
     _check_m(m)
     xs = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(xs, dtype=np.float64)
-    for idx, xv in np.ndenumerate(xs):
-        phi = phi_of_x(m, float(xv))
-        u = np.sin((m + 1) * phi)
-        v = np.sin(m * phi)
-        out[idx] = np.sin(phi) * u / (np.pi * xv * v)
-    if np.isscalar(x) or xs.ndim == 0:
-        return float(out.reshape(-1)[0])
-    return out
+    flat = xs.reshape(-1)
+    phi = phi_of_x(m, flat)
+    u = np.sin((m + 1) * phi)
+    v = np.sin(m * phi)
+    rho = (np.sin(phi) * u / (np.pi * flat * v)).reshape(xs.shape)
+    return float(rho) if xs.ndim == 0 else rho
 
 
-def _mass_integrand(m: int, phi: float) -> float:
-    """rho(x(phi)) * |dx/dphi|: the density's mass element in phi."""
+def _mass_integrand(m: int, phi):
+    """rho(x(phi)) * |dx/dphi|: the density's mass element in phi (scalar or array)."""
     u = np.sin((m + 1) * phi)
     v = np.sin(m * phi)
     s = np.sin(phi)
     term1 = (m + 1) ** 2 * s * np.cos((m + 1) * phi) / v
     term2 = -np.cos(phi) * u / v
-    term3 = -(m**2) * s * u * np.cos(m * phi) / v**2
+    term3 = -(m**2) * s * u * np.cos(m * phi) / (v * v)
     return -(term1 + term2 + term3) / np.pi
 
 
 def total_mass(m: int) -> float:
-    """Integral of the density over its support (should be 1)."""
+    """Integral of the density over its support (should be 1), by
+    MASS_NODES-point Gauss-Legendre quadrature in phi."""
     _check_m(m)
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda p: _mass_integrand(m, p), 0.0, _phi_limit(m), limit=200)
-    return float(val)
+    nodes, weights = np.polynomial.legendre.leggauss(MASS_NODES)
+    half = _phi_limit(m) / 2.0
+    return float(half * np.dot(weights, _mass_integrand(m, half * (nodes + 1.0))))
 
 
 @dataclass(frozen=True)
@@ -134,15 +148,13 @@ class FussCatalanDensity:
     def _table(self):
         hi = _phi_limit(self.m)
         phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
-        g = np.array([_mass_integrand(self.m, p) for p in phis])
-        # mass above each phi equals mass below the corresponding x;
-        # scipy's cumulative_trapezoid(..., initial=0.0), term for term
-        x, y = phis[::-1], g[::-1]
+        # mass above each phi equals mass below the corresponding x: the
+        # cumulative trapezoid rule from phi's upper end, starting at 0
+        x, y = phis[::-1], _mass_integrand(self.m, phis)[::-1]
         below = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-        xs = np.array([x_of_phi(self.m, p) for p in phis])[::-1]
         cdf = -below  # phis reversed descend, so the integral accumulates negatively
         cdf = np.clip(cdf, 0.0, 1.0)  # quadrature error can overshoot by ~1e-7
-        return np.maximum.accumulate(xs), cdf
+        return np.maximum.accumulate(_x(self.m, phis)[::-1]), cdf
 
     def cdf(self, x):
         """P(X <= x), tabulated by trapezoidal integration in phi."""
@@ -175,27 +187,44 @@ class SpectrumSample:
     per_trial: Array
 
 
-def sample_product_spectrum(m: int, n: int, trials: int, seed: int) -> SpectrumSample:
+def sample_product_spectra(ms, n: int, trials: int, seed: int) -> list[SpectrumSample]:
     """Sample Gram spectra of products of M N x N matrices whose entries are
-    drawn i.i.d. N(0, 1/N).
+    drawn i.i.d. N(0, 1/N), for each M in ms (in the order given).
 
     Trial t draws from SeededRng(seed, stream=t), so individual trials are
     reproducible in isolation and the result does not depend on evaluation
-    order.
+    order. Each trial forms one product chain X_1 X_2 ... X_max(ms), left to
+    right, and takes the spectrum of every requested prefix, so the sample
+    for M does not depend on the other entries of ms. A repeated M gets the
+    same sample object.
     """
-    _check_m(m)
+    ms = list(ms)
+    if not ms:
+        raise SizeError("need at least one matrix count")
+    for m in ms:
+        _check_m(m)
     if n < 2:
         raise SizeError(f"matrix size must be >= 2, got {n}")
     if trials < 1:
         raise SizeError(f"trials must be >= 1, got {trials}")
-    rows = np.empty((trials, n))
+    rows = {m: np.empty((trials, n)) for m in ms}
+    scale = 1.0 / np.sqrt(n)
     for t in range(trials):
         gen = SeededRng(seed, stream=t).generator()
-        x = gen.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
-        for _ in range(1, m):
-            x = x @ gen.normal(0.0, 1.0 / np.sqrt(n), size=(n, n))
-        rows[t] = gram_eigenvalues(x)
-    return SpectrumSample(m=m, eigenvalues=np.sort(rows.ravel()), per_trial=rows)
+        x = gen.normal(0.0, scale, size=(n, n))
+        for k in range(1, max(ms) + 1):
+            if k > 1:
+                x = x @ gen.normal(0.0, scale, size=(n, n))
+            if k in rows:
+                rows[k][t] = gram_eigenvalues(x)
+    samples = {m: SpectrumSample(m=m, eigenvalues=np.sort(r.ravel()), per_trial=r)
+               for m, r in rows.items()}
+    return [samples[m] for m in ms]
+
+
+def sample_product_spectrum(m: int, n: int, trials: int, seed: int) -> SpectrumSample:
+    """sample_product_spectra for the one matrix count M."""
+    return sample_product_spectra([m], n, trials, seed)[0]
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,8 @@ import os
 import pytest
 
 from bnlab.harness.cli import main
-from bnlab.rmt import support_upper
+from bnlab.rmt import (FussCatalanDensity, condition_report, density, sample_product_spectrum,
+                       support_upper)
 
 SMALL = """
 network.depth = 2
@@ -221,6 +222,14 @@ class TestAnalysisCommands:
         cdfs = [float(r[2]) for r in rows[1:]]
         assert all(b >= a - 1e-12 for a, b in zip(cdfs, cdfs[1:]))
 
+    def test_rmt_density_columns_equal_per_point_calls(self, config_path, tmp_path):
+        out = str(tmp_path / "dens")
+        assert main(["rmt-density", "--config", config_path, "--out", out]) == 0
+        cdf = FussCatalanDensity(2).cdf
+        for x, rho, p in _csv_rows(os.path.join(out, "density.csv"))[1:]:
+            assert float(rho) == density(2, float(x))
+            assert float(p) == float(cdf(float(x)))
+
     def test_rmt_density_single_point_at_support_midpoint(self, tmp_path):
         p = tmp_path / "c.cfg"
         p.write_text("network.depth = 1\nrmt.m = 2\nrmt.grid_points = 1\n")
@@ -260,6 +269,22 @@ class TestAnalysisCommands:
         assert [r[0] for r in summary[1:]] == ["1", "2"]
         entries = _csv_rows(os.path.join(out, "condition.csv"))
         assert len(entries) == 1 + 2 * 2
+
+    def test_rmt_condition_equals_per_m_samples(self, tmp_path):
+        # one product chain per trial serves every M, unsorted and repeated too
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 1\nrmt.m_list = 4, 1, 2, 1\nrmt.n = 8\n"
+                     "rmt.trials = 3\ntrain.seed = 5\n")
+        out = str(tmp_path / "cond")
+        assert main(["rmt-condition", "--config", str(p), "--out", out]) == 0
+        report = condition_report([sample_product_spectrum(m, 8, 3, 5) for m in (4, 1, 2, 1)])
+        rows = _csv_rows(os.path.join(out, "condition.csv"))[1:]
+        assert [(int(m), int(t), float(k), float(s), int(sat)) for m, t, k, s, sat in rows] == [
+            (e.m, e.trial, e.kappa, e.sigma_max, int(e.saturated)) for e in report.entries]
+        summary = _csv_rows(os.path.join(out, "condition_summary.csv"))[1:]
+        assert [tuple(map(float, r)) for r in summary] == [
+            (s.m, s.median_kappa, s.mean_kappa, s.median_sigma_max, s.mean_sigma_max,
+             s.saturated_trials) for s in report.summaries]
 
     def test_noise_bound_on_dense_bn(self, tmp_path):
         p = tmp_path / "c.cfg"

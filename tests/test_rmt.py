@@ -32,6 +32,7 @@ from bnlab.rmt import (
     density,
     ks_distance,
     phi_of_x,
+    sample_product_spectra,
     sample_product_spectrum,
     support_upper,
     total_mass,
@@ -110,9 +111,25 @@ class TestParametrization:
         assert_allclose(x_of_phi(m, phi_of_x(m, x)), x, rtol=1e-8)
 
     def test_phi_of_x_domain_errors(self):
-        for bad in (0.0, -1.0, 4.0, 5.0):
+        for bad in (0.0, -1.0, 4.0, 5.0, np.nan):
             with pytest.raises(DomainError):
                 phi_of_x(1, bad)
+            with pytest.raises(DomainError):
+                phi_of_x(1, np.array([1.0, bad, 2.0]))
+
+    def test_phi_of_x_array_equals_scalar_calls(self):
+        xs = np.linspace(0.0, support_upper(3), 52)[1:-1].reshape(5, 10)
+        phis = phi_of_x(3, xs)
+        assert phis.shape == (5, 10)
+        assert phis.tobytes() == np.array([phi_of_x(3, x) for x in xs.ravel()]).tobytes()
+        assert isinstance(phi_of_x(3, 1.0), float)
+
+    def test_phi_of_x_is_a_bisection_fixed_point(self):
+        # phi and the next float up bracket the root: x(phi) > x >= x(next)
+        for m in (1, 4, 28):
+            for x in np.linspace(0.0, support_upper(m), 9)[1:-1]:
+                phi = phi_of_x(m, x)
+                assert x_of_phi(m, phi) > x >= x_of_phi(m, np.nextafter(phi, np.inf))
 
 
 class TestDensity:
@@ -127,6 +144,13 @@ class TestDensity:
     def test_scalar_in_scalar_out(self):
         assert isinstance(density(2, 1.0), float)
 
+    @pytest.mark.parametrize("m", [1, 2, 8, 28, 200])
+    def test_array_equals_per_point_bit_for_bit(self, m):
+        xs = np.linspace(0.0, support_upper(m), 402)[1:-1]
+        per_point = np.array([density(m, float(x)) for x in xs])
+        assert density(m, xs).tobytes() == per_point.tobytes()
+        assert density(m, xs[::-1]).tobytes() == per_point[::-1].tobytes()
+
     def test_array_shape_preserved(self):
         xs = np.array([[0.5, 1.0], [2.0, 3.0]])
         out = density(1, xs)
@@ -140,6 +164,10 @@ class TestDensity:
 
     def test_normalization(self):
         for m in range(1, 6):
+            assert_allclose(total_mass(m), 1.0, atol=1e-9)
+
+    def test_normalization_many_factors(self):
+        for m in (8, 28, 100):
             assert_allclose(total_mass(m), 1.0, atol=1e-9)
 
     def test_moments_match_generalized_catalan(self):
@@ -242,6 +270,19 @@ class TestSampling:
             sample_product_spectrum(1, 1, trials=2, seed=0)
         with pytest.raises(SizeError):
             sample_product_spectrum(1, 8, trials=0, seed=0)
+        with pytest.raises(SizeError):
+            sample_product_spectra([], 8, trials=2, seed=0)
+        with pytest.raises(DomainError):
+            sample_product_spectra([2, 0], 8, trials=2, seed=0)
+
+    @pytest.mark.parametrize("ms", [(1, 2, 4, 8), (8, 1, 4, 2), (2, 4, 2, 1)])
+    def test_one_chain_equals_per_m_samples_bit_for_bit(self, ms):
+        got = sample_product_spectra(ms, 12, trials=3, seed=21)
+        assert [s.m for s in got] == list(ms)
+        for s in got:
+            ref = sample_product_spectrum(s.m, 12, trials=3, seed=21)
+            assert s.per_trial.tobytes() == ref.per_trial.tobytes()
+            assert s.eigenvalues.tobytes() == ref.eigenvalues.tobytes()
 
 
 class TestConditionReport:
@@ -284,13 +325,25 @@ class TestConditionReport:
         assert isinstance(rep.entries[0], ConditionEntry)
 
 
-def test_importing_the_program_leaves_scipy_unloaded():
-    # scipy loads on first use, inside total_mass and phi_of_x only
+def test_importing_the_program_leaves_scipy_unloaded(tmp_path):
+    # every rmt function is NumPy only: importing the program, the three rmt
+    # commands and total_mass leave scipy out of sys.modules
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("network.depth = 1\nrmt.m = 3\nrmt.m_list = 1, 2\nrmt.n = 8\n"
+                   "rmt.trials = 2\nrmt.grid_points = 16\n")
     script = (
         "import sys\n"
         "import bnlab.harness.cli, bnlab.rmt\n"
-        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
-        "print(bnlab.rmt.total_mass(2), bnlab.rmt.phi_of_x(2, 1.0))\n"
+        "def unloaded():\n"
+        "    assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        "unloaded()\n"
+        "for command in ('rmt-density', 'rmt-spectrum', 'rmt-condition'):\n"
+        f"    assert bnlab.harness.cli.main([command, '--config', {str(cfg)!r},\n"
+        f"                                   '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+        "    unloaded()\n"
+        "mass, phi = bnlab.rmt.total_mass(2), bnlab.rmt.phi_of_x(2, 1.0)\n"
+        "unloaded()\n"
+        "print(mass, phi)\n"
     )
     src = os.path.dirname(os.path.dirname(bnlab.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
