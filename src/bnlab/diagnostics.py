@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, LabelError, SizeError
-from .nn import Conv3x3, Network, Tap, softmax_xent
+from .errors import DimensionError, SizeError
+from .nn import Conv3x3, Network, Tap, _xent_rows, softmax_xent
 from .tensor import Array, conv2d_summand_stats
 
 RATIO_SATURATION = 1e12
@@ -320,22 +320,13 @@ def class_grad_heatmap(net: Network, x: Array, labels: Array) -> ClassGradHeatma
 
 
 def heatmap_from_logits(logits: Array, labels: Array) -> ClassGradHeatmap:
-    logits = np.asarray(logits, dtype=np.float64)
-    b, k = logits.shape
-    labels = np.asarray(labels)
-    if labels.min() < 0 or labels.max() >= k:
-        raise LabelError(f"labels must lie in [0, {k})")
-    z = logits - logits.max(axis=1, keepdims=True)
-    p = np.exp(z)
-    p /= p.sum(axis=1, keepdims=True)
-    matrix = p.copy()
-    matrix[np.arange(b), labels] -= 1.0
-    tops = np.argmax(matrix, axis=1)
-    counts = np.bincount(tops, minlength=k)
+    _, matrix = _xent_rows(logits, labels)
+    b, k = matrix.shape
+    counts = np.bincount(np.argmax(matrix, axis=1), minlength=k)
     modal = int(np.argmax(counts))
     return ClassGradHeatmap(
         matrix=matrix,
-        labels=labels.copy(),
+        labels=np.array(labels),
         modal_column=modal,
         dominant_fraction=float(counts[modal] / b),
     )

@@ -19,21 +19,17 @@ import numpy as np
 # depth_moment_profile is re-exported: bench/ looks it up here
 from ..diagnostics import INSTRUMENTS, depth_moment_profile  # noqa: F401
 from ..errors import BnlabError, ConfigError
-from ..nn import build_network
 from ..noise import noise_summary, per_example_gradients
 from ..rmt import (FussCatalanDensity, condition_report, density, ks_distance,
                    sample_product_spectra, sample_product_spectrum, support_upper)
-from ..tensor import SeededRng
 from .config import ExperimentConfig, parse_config_file
-from .run import _write_json, emit, load_dataset, run_experiment, write_csv
+from .run import _write_json, emit, leg_start, load_dataset, run_experiment, write_csv
 
 
 def _init_state(cfg: ExperimentConfig):
     """The exact network and batch a sweep's first leg would start from."""
     train, test = load_dataset(cfg)
-    net = build_network(cfg.network, SeededRng(cfg.seed).child(100))
-    batch = (train.images[:cfg.batch_size], train.labels[:cfg.batch_size])
-    return net, batch, train, test
+    return (*leg_start(cfg, 0, train), train, test)
 
 
 def _cmd_train(cfg: ExperimentConfig, out: str) -> int:

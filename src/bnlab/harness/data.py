@@ -45,16 +45,16 @@ def parse_cifar10_bin(source) -> LabeledImageSet:
     """Decode the CIFAR-10 binary layout: 3073-byte records, one label byte
     then 3072 pixel bytes (1024 red, 1024 green, 1024 blue; row-major 32x32
     within each channel). Accepts a path or raw bytes. Pixels come back as
-    float64 in [0, 255].
+    float64 in [0, 255]. A source with no records is rejected.
     """
     if isinstance(source, (bytes, bytearray)):
         blob = bytes(source)
     else:
         with open(source, "rb") as fh:
             blob = fh.read()
-    if len(blob) % CIFAR_RECORD != 0:
+    if len(blob) == 0 or len(blob) % CIFAR_RECORD != 0:
         raise FormatError(
-            f"file length {len(blob)} is not a multiple of {CIFAR_RECORD}"
+            f"file length {len(blob)} is not a positive multiple of {CIFAR_RECORD}"
         )
     n = len(blob) // CIFAR_RECORD
     raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, CIFAR_RECORD)

@@ -79,6 +79,14 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSe
 # --- one sweep leg -----------------------------------------------------------
 
 
+def leg_start(cfg: ExperimentConfig, leg_index: int, train: LabeledImageSet):
+    """The network leg `leg_index` starts from, and its step-0 batch: the
+    first batch_size training examples."""
+    net = build_network(cfg.network, SeededRng(cfg.seed).child(100 + 10 * leg_index))
+    b = cfg.batch_size
+    return net, (train.images[:b], train.labels[:b])
+
+
 def run_leg(
     cfg: ExperimentConfig,
     lr: float,
@@ -86,8 +94,8 @@ def run_leg(
     train: LabeledImageSet,
     test: LabeledImageSet,
 ) -> LegResult:
+    net, init_batch = leg_start(cfg, leg_index, train)
     root = SeededRng(cfg.seed)
-    net = build_network(cfg.network, root.child(100 + 10 * leg_index))
     order_gen = root.child(101 + 10 * leg_index).generator()
     augment_gen = root.child(102 + 10 * leg_index).generator()
 
@@ -106,11 +114,10 @@ def run_leg(
         _, measure, rows = INSTRUMENTS[name]
         tables[name][1].extend((step, *row) for row in rows(measure(net, batch)))
 
-    b = cfg.batch_size
-    init_batch = (train.images[:b], train.labels[:b])
     for name, _every in cfg.diagnostics:
         fire(name, init_batch, 0)
 
+    b = cfg.batch_size
     steps_per_epoch = train.n // b
     total_steps = max(cfg.epochs * steps_per_epoch, 1)
     metrics: list = []

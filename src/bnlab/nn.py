@@ -510,13 +510,11 @@ class ResidualBlock(Layer):
 # loss
 
 
-def softmax_xent(logits: Array, labels: Array) -> tuple[float, Array]:
-    """Mean cross-entropy of softmax(logits) against integer labels.
-
-    Returns (loss, grad_logits) where grad_logits = (softmax - onehot) / b,
-    the gradient of the mean loss. Log-sum-exp is stabilized by max
-    subtraction, so arbitrarily large finite logits stay finite.
-    """
+def _xent_rows(logits: Array, labels: Array) -> tuple[Array, Array]:
+    """Per-example cross-entropy and its gradient at the logits,
+    softmax(logits) - onehot(labels), for [b, k] logits and b integer labels
+    in [0, k). Log-sum-exp is stabilized by max subtraction, so arbitrarily
+    large finite logits stay finite."""
     logits = as_tensor(logits)
     if logits.ndim != 2:
         raise DimensionError(f"logits must be [b, k], got {logits.shape}")
@@ -529,12 +527,20 @@ def softmax_xent(logits: Array, labels: Array) -> tuple[float, Array]:
     if labels.min() < 0 or labels.max() >= k:
         raise LabelError(f"labels must lie in [0, {k})")
     z = logits - logits.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-    loss = float(-logp[np.arange(b), labels].mean())
-    grad = np.exp(logp)
-    grad[np.arange(b), labels] -= 1.0
-    return loss, grad / b
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    residual = np.exp(logp)
+    residual[np.arange(b), labels] -= 1.0
+    return -logp[np.arange(b), labels], residual
+
+
+def softmax_xent(logits: Array, labels: Array) -> tuple[float, Array]:
+    """Mean cross-entropy of softmax(logits) against integer labels.
+
+    Returns (loss, grad_logits) where grad_logits = (softmax - onehot) / b,
+    the gradient of the mean loss.
+    """
+    losses, residual = _xent_rows(logits, labels)
+    return float(losses.mean()), residual / losses.size
 
 
 # ---------------------------------------------------------------------------

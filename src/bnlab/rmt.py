@@ -15,13 +15,12 @@ on (0, 4). x(phi) decreases from the upper edge to 0 as phi sweeps the
 interval, so phi is recovered from x by bisection, a whole array at once.
 
 Everything here is NumPy: the inversion is bisection, the total mass is
-Gauss-Legendre quadrature and the CDF table is the trapezoid rule, so no
-bnlab command loads SciPy.
+Gauss-Legendre quadrature and the CDF is exact, 1 - (M+1) phi / pi + M x rho_M(x),
+so no bnlab command loads SciPy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +28,6 @@ from .errors import DomainError, SizeError
 from .tensor import Array, SeededRng, gram_eigenvalues
 
 SATURATION_FLOOR = 1e-300
-CDF_GRID_POINTS = 4001  # phi nodes of FussCatalanDensity's tabulated CDF
 MASS_NODES = 256  # Gauss-Legendre nodes of total_mass
 
 
@@ -137,29 +135,27 @@ def total_mass(m: int) -> float:
 
 @dataclass(frozen=True)
 class FussCatalanDensity:
-    """The limiting law for M matrices, with its CDF tabulated for distribution tests."""
+    """The limiting law for M matrices, with its exact CDF for distribution tests."""
 
     m: int
 
     def __post_init__(self):
         _check_m(self.m)
 
-    @cached_property
-    def _table(self):
-        hi = _phi_limit(self.m)
-        phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
-        # mass above each phi equals mass below the corresponding x: the
-        # cumulative trapezoid rule from phi's upper end, starting at 0
-        x, y = phis[::-1], _mass_integrand(self.m, phis)[::-1]
-        below = np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
-        cdf = -below  # phis reversed descend, so the integral accumulates negatively
-        cdf = np.clip(cdf, 0.0, 1.0)  # quadrature error can overshoot by ~1e-7
-        return np.maximum.accumulate(_x(self.m, phis)[::-1]), cdf
-
     def cdf(self, x):
-        """P(X <= x), tabulated by trapezoidal integration in phi."""
-        xs, cdf = self._table
-        return np.interp(x, xs, cdf, left=0.0, right=float(cdf[-1]))
+        """P(X <= x) (scalar or array), exact: 0 for x <= 0, 1 from the upper edge,
+        and 1 - (M+1) phi / pi + M sin(phi) sin((M+1) phi) / (pi sin(M phi)) between,
+        at phi = phi_of_x(M, x). In phi the mass element is an exact derivative:
+        (1/pi)[(M+1) - M d/dphi(sin phi sin((M+1) phi) / sin M phi)] dphi."""
+        m = self.m
+        xs = np.asarray(x, dtype=np.float64)
+        upper = support_upper(m)
+        f = np.where(xs <= 0.0, 0.0, np.where(xs >= upper, 1.0, np.nan))
+        inside = (xs > 0.0) & (xs < upper)
+        phi = phi_of_x(m, xs[inside])
+        f[inside] = (1.0 - (m + 1) * phi / np.pi
+                     + m * np.sin(phi) * np.sin((m + 1) * phi) / (np.pi * np.sin(m * phi)))
+        return float(f) if xs.ndim == 0 else f
 
 
 def ks_distance(values: Array, cdf) -> float:

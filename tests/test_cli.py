@@ -4,6 +4,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from bnlab.harness.cli import main
@@ -72,6 +73,59 @@ class TestTrain:
             return open(os.path.join(d, leg, "metrics.csv"), "rb").read()
 
         assert metrics(out_a) == metrics(out_b)
+
+
+def _cifar_record(label, gen):
+    return bytes([label]) + gen.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
+
+
+class TestCifarFormat:
+    """train on tiny files in the CIFAR-10 binary layout: the path a real
+    CIFAR-10 directory takes, without the download."""
+
+    @pytest.fixture
+    def cifar_config(self, tmp_path):
+        data = tmp_path / "cifar"
+        data.mkdir()
+        gen = np.random.default_rng(3)
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            (data / name).write_bytes(b"".join(_cifar_record(int(k), gen) for k in range(4)))
+        p = tmp_path / "cifar.cfg"
+        p.write_text(
+            "network.depth = 2\nnetwork.width = 4\n"
+            f"dataset.kind = cifar10\ndataset.dir = {data}\ndataset.augment = true\n"
+            "train.batch_size = 4\ntrain.epochs = 1\ndiagnostics.moments = 2\n"
+        )
+        return str(p), data
+
+    def test_trains_and_reruns_byte_identical(self, cifar_config, tmp_path):
+        config, _ = cifar_config
+        runs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["train", "--config", config, "--out", str(out)]) == 0
+            runs.append({str(f.relative_to(out)): f.read_bytes() for f in out.rglob("*.csv")})
+        assert {"leg_0_lr0.10000000000000001/metrics.csv",
+                "leg_0_lr0.10000000000000001/moments.csv"} <= set(runs[0])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("fault", ["missing", "truncated", "label", "empty"])
+    def test_bad_file_is_two(self, cifar_config, tmp_path, capsys, fault):
+        config, data = cifar_config
+        victim = data / ("data_batch_3.bin" if fault != "empty" else "test_batch.bin")
+        blob = victim.read_bytes()
+        if fault == "missing":
+            victim.unlink()
+        elif fault == "truncated":
+            victim.write_bytes(blob[:-1])
+        elif fault == "label":
+            victim.write_bytes(blob[:3073] + bytes([10]) + blob[3074:])
+        else:
+            victim.write_bytes(b"")
+        assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("run error:")
+        assert "Traceback" not in err
 
 
 class TestExitCodes:

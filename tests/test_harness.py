@@ -342,10 +342,10 @@ class TestCifarParser:
         assert ds.images[1, 2, 0, 0] == 64.0
         assert ds.images[1, 0, 2, 5] == 99.0
 
-    def test_zero_length_gives_empty_set(self):
-        ds = parse_cifar10_bin(b"")
-        assert ds.n == 0
-        assert ds.images.shape == (0, 3, 32, 32)
+    def test_zero_length_rejected(self):
+        # an empty batch file would leave accuracy a division by zero
+        with pytest.raises(FormatError, match="positive multiple of 3073"):
+            parse_cifar10_bin(b"")
 
     def test_truncated_record_rejected(self):
         with pytest.raises(FormatError, match="3073"):

@@ -18,13 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
-from scipy.integrate import cumulative_trapezoid, quad
+from scipy.integrate import quad
 from scipy.special import comb
 
 import bnlab
 from bnlab.errors import DomainError, SizeError
 from bnlab.rmt import (
-    CDF_GRID_POINTS,
     ConditionEntry,
     FussCatalanDensity,
     SpectrumSample,
@@ -193,7 +192,7 @@ class TestCdf:
     def test_matches_closed_form_for_one_factor(self):
         fc = FussCatalanDensity(1)
         xs = np.linspace(0.0, 4.0, 801)
-        assert np.max(np.abs(fc.cdf(xs) - mp_cdf(xs))) < 1e-5
+        assert np.max(np.abs(fc.cdf(xs) - mp_cdf(xs))) < 1e-13
 
     def test_monotone_and_bounded(self):
         fc = FussCatalanDensity(3)
@@ -207,16 +206,16 @@ class TestCdf:
         assert fc.cdf(-1.0) == 0.0
         assert_allclose(fc.cdf(100.0), 1.0, atol=1e-6)
 
-    @pytest.mark.parametrize("m", [1, 2, 4, 8])
-    def test_table_byte_identical_to_scipy_cumulative_trapezoid(self, m):
-        hi = _phi_limit(m)
-        phis = np.linspace(hi * 1e-9, hi * (1 - 1e-9), CDF_GRID_POINTS)
-        g = np.array([_mass_integrand(m, p) for p in phis])
-        cdf = np.clip(-cumulative_trapezoid(g[::-1], phis[::-1], initial=0.0), 0.0, 1.0)
-        xs = np.maximum.accumulate(np.array([x_of_phi(m, p) for p in phis])[::-1])
-        got_xs, got_cdf = FussCatalanDensity(m)._table
-        assert got_xs.tobytes() == xs.tobytes()
-        assert got_cdf.tobytes() == cdf.tobytes()
+    @pytest.mark.parametrize("m", [1, 2, 4, 8, 28, 100, 200])
+    def test_matches_quadrature_of_the_density(self, m):
+        fc = FussCatalanDensity(m)
+        top = _phi_limit(m)
+        for frac in np.linspace(0.0, 1.0, 17)[1:-1]:
+            x = frac * support_upper(m)
+            # mass below x is the mass above phi(x) in phi
+            want, _ = quad(lambda p: _mass_integrand(m, p), phi_of_x(m, x), top,
+                           epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert abs(fc.cdf(x) - want) <= 1e-13
 
 
 class TestKsDistance:
