@@ -216,6 +216,7 @@ class TestCdf:
             want, _ = quad(lambda p: _mass_integrand(m, p), phi_of_x(m, x), top,
                            epsabs=1e-13, epsrel=1e-13, limit=200)
             assert abs(fc.cdf(x) - want) <= 1e-13
+        assert fc.cdf(0.0) == 0.0 and fc.cdf(support_upper(m)) == 1.0
 
 
 class TestKsDistance:
