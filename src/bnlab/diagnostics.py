@@ -271,10 +271,11 @@ def _saturated_ratio(a: float, b: float) -> float:
 def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     """Per-convolution summand-cancellation rows on one batch.
 
-    Runs one forward/backward (without touching normalization state) and
-    reduces each convolution's kernel-gradient summands.
+    Runs one forward/backward (without touching normalization state) that
+    keeps the upstream gradients, and reduces each convolution's
+    kernel-gradient summands.
     """
-    net.loss_and_grad(x, labels, update_stats=False)
+    net.loss_and_grad(x, labels, update_stats=False, keep_upstream=True)
     rows = []
     for t in _conv_taps(net):
         s = conv2d_summand_stats(t.layer.last_upstream, t.layer.last_in)
@@ -415,7 +416,7 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
     convolution output is the upstream gradient summed over batch and
     positions; its magnitude is reported per channel.
     """
-    net.loss_and_grad(x, labels, update_stats=False)
+    net.loss_and_grad(x, labels, update_stats=False, keep_upstream=True)
     rows = []
     for t in _conv_taps(net):
         sums = t.layer.last_upstream.sum(axis=(0, 2, 3))

@@ -41,40 +41,47 @@ class LabeledImageSet:
         return self.images.shape[0]
 
 
+def _cifar10_records(source) -> tuple[Array, Array]:
+    """(labels [n] int64, pixel bytes [n, 3072] uint8) of one CIFAR-10 binary
+    source, a path or raw bytes; each FormatError names the file."""
+    if isinstance(source, (bytes, bytearray)):
+        blob, name = bytes(source), "<bytes>"
+    else:
+        with open(source, "rb") as fh:
+            blob = fh.read()
+        name = os.fspath(source)
+    if len(blob) == 0 or len(blob) % CIFAR_RECORD != 0:
+        raise FormatError(
+            f"{name}: file length {len(blob)} is not a positive multiple of {CIFAR_RECORD}"
+        )
+    raw = np.frombuffer(blob, dtype=np.uint8).reshape(-1, CIFAR_RECORD)
+    labels = raw[:, 0].astype(np.int64)
+    bad = np.nonzero(labels > 9)[0]
+    if bad.size:
+        raise FormatError(f"{name}: record {bad[0]}: label byte {labels[bad[0]]} exceeds 9")
+    return labels, raw[:, 1:].reshape(-1, 3, 32, 32)
+
+
 def parse_cifar10_bin(source) -> LabeledImageSet:
     """Decode the CIFAR-10 binary layout: 3073-byte records, one label byte
     then 3072 pixel bytes (1024 red, 1024 green, 1024 blue; row-major 32x32
     within each channel). Accepts a path or raw bytes. Pixels come back as
     float64 in [0, 255]. A source with no records is rejected.
     """
-    if isinstance(source, (bytes, bytearray)):
-        blob = bytes(source)
-    else:
-        with open(source, "rb") as fh:
-            blob = fh.read()
-    if len(blob) == 0 or len(blob) % CIFAR_RECORD != 0:
-        raise FormatError(
-            f"file length {len(blob)} is not a positive multiple of {CIFAR_RECORD}"
-        )
-    n = len(blob) // CIFAR_RECORD
-    raw = np.frombuffer(blob, dtype=np.uint8).reshape(n, CIFAR_RECORD)
-    labels = raw[:, 0].astype(np.int64)
-    bad = np.nonzero(labels > 9)[0]
-    if bad.size:
-        raise FormatError(f"record {bad[0]}: label byte {labels[bad[0]]} exceeds 9")
-    images = raw[:, 1:].reshape(n, 3, 32, 32).astype(np.float64)
-    return LabeledImageSet(images, labels, class_count=10)
+    labels, pixels = _cifar10_records(source)
+    return LabeledImageSet(pixels.astype(np.float64), labels, class_count=10)
 
 
 def load_cifar10_dir(directory: str) -> tuple[LabeledImageSet, LabeledImageSet]:
-    """Standard on-disk layout: data_batch_1..5.bin for training, test_batch.bin."""
+    """Standard on-disk layout: data_batch_1..5.bin for training, test_batch.bin.
+    The five training batches are decoded straight into one float64 array."""
     parts = [
-        parse_cifar10_bin(os.path.join(directory, f"data_batch_{i}.bin"))
+        _cifar10_records(os.path.join(directory, f"data_batch_{i}.bin"))
         for i in range(1, 6)
     ]
     train = LabeledImageSet(
-        np.concatenate([p.images for p in parts]),
-        np.concatenate([p.labels for p in parts]),
+        np.concatenate([pixels for _, pixels in parts], dtype=np.float64),
+        np.concatenate([labels for labels, _ in parts]),
         class_count=10,
     )
     test = parse_cifar10_bin(os.path.join(directory, "test_batch.bin"))

@@ -11,6 +11,16 @@ Layers follow a plain forward/backward discipline: forward caches what
 backward needs on the layer instance, backward overwrites parameter
 gradients (no accumulation across calls). Nothing mutates its input
 arrays.
+
+After a training step a layer holds only what its backward reads: a
+convolution or dense layer its input (`last_in`) and output (`last_out`),
+a norm layer its NormCache (the input and the statistics; x-hat is
+recomputed from them on demand). The gradient that arrived at a weighted
+layer's output (`last_upstream`, read by `grad_summands` and the coherence
+and channel-gradient instruments) is kept only by a backward run with
+`keep_upstream=True` (`Network.loss_and_grad` and `Network.backward` pass
+it down), and only until the layer's next forward; reading it otherwise
+raises CacheMismatchError.
 """
 from __future__ import annotations
 
@@ -56,10 +66,13 @@ class Param:
 
 
 class Layer:
+    name = "layer"
+    _upstream: Array | None = None  # set only by a backward with keep_upstream=True
+
     def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
         raise NotImplementedError
 
-    def backward(self, dout: Array) -> Array:
+    def backward(self, dout: Array, keep_upstream: bool = False) -> Array:
         raise NotImplementedError
 
     def params(self) -> list[Param]:
@@ -68,8 +81,21 @@ class Layer:
     def grad_summands(self) -> list[Array]:
         """Each batch element's share of each parameter gradient of the last
         backward: one [b, *shape] array per entry of params(), in that order,
-        summing over b to the param's grad."""
+        summing over b to the param's grad. Weighted layers read it off the
+        upstream gradient, so the last backward must have been run with
+        keep_upstream=True (CacheMismatchError otherwise)."""
         return []
+
+    @property
+    def last_upstream(self) -> Array:
+        """The gradient at this layer's output in the last backward, which
+        must have kept it (keep_upstream=True) after the last forward."""
+        if self._upstream is None:
+            raise CacheMismatchError(
+                f"{self.name}: no upstream gradient kept since the last forward; "
+                "run the backward with keep_upstream=True"
+            )
+        return self._upstream
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +149,6 @@ class NormCache:
     """Everything norm_backward needs from one norm_forward."""
 
     x: Array
-    xhat: Array  # input shape
     mean: Array  # region shape, reduced axes kept
     var: Array
     inv: Array | None  # None when the variance division is off
@@ -134,6 +159,16 @@ class NormCache:
     components: BnComponents
     gamma: Array
     token: int = 0
+
+    @property
+    def xhat(self) -> Array:
+        """The normalized input, in input shape, recomputed with norm_forward's
+        own operations and so equal to its x-hat bit for bit."""
+        xr = self.x.reshape(self.region_shape)
+        xhat = xr - self.mean if self.components.use_mean else xr.copy()
+        if self.inv is not None:
+            xhat *= self.inv
+        return xhat.reshape(self.x.shape)
 
 
 def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch",
@@ -160,26 +195,25 @@ def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch"
                 f"{grouping} normalization region has {n} element(s); need >= 2"
             )
         mean = xr.mean(axis=axes, keepdims=True)
-        xhat = xr - mean
-        var = np.mean(xhat * xhat, axis=axes, keepdims=True)
+        centered = xr - mean
+        var = np.mean(centered * centered, axis=axes, keepdims=True)
     else:
         shape = tuple(1 if a in axes else s for a, s in enumerate(xr.shape))
         mean, var = (np.reshape(s, shape) for s in stats)
-        xhat = xr - mean if components.use_mean else None
-    # xhat and out are scaled and shifted in place: each is this call's own
-    # array, and fewer fresh arrays per call are measurably faster
-    if not components.use_mean:
-        xhat = xr.copy()
+        centered = xr - mean if components.use_mean else None
+    # out is x-hat (as NormCache.xhat computes it), then scaled and shifted in
+    # place: it is this call's own array, and fewer fresh arrays are faster
+    out = centered if components.use_mean else xr.copy()
     inv = None
     if components.use_var:
         inv = 1.0 / np.sqrt(var + eps)
-        xhat *= inv
-    xhat = xhat.reshape(x.shape)
-    out = _per_channel(gamma, x.ndim) * xhat if components.use_gamma else xhat.copy()
+        out *= inv
+    out = out.reshape(x.shape)
+    if components.use_gamma:
+        out *= _per_channel(gamma, x.ndim)
     if components.use_beta:
         out += _per_channel(beta, x.ndim)
-    cache = NormCache(x, xhat, mean, var, inv, axes, n, xr.shape, stats is None,
-                      components, gamma)
+    cache = NormCache(x, mean, var, inv, axes, n, xr.shape, stats is None, components, gamma)
     return out, cache
 
 
@@ -202,22 +236,28 @@ def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, A
     comp = cache.components
     ndim = cache.x.ndim
     affine_axes = (0,) + tuple(range(2, ndim))
+    axes, n, inv = cache.axes, cache.n, cache.inv
+    fresh_var = cache.fresh and comp.use_var
+    if fresh_var:
+        # var is taken about the mean even when the mean is not subtracted
+        xr = cache.x.reshape(cache.region_shape)
+        centered = xr - cache.mean
+        xu = centered if comp.use_mean else xr
     dgamma = np.zeros(cache.x.shape[1])
     dbeta = np.zeros(cache.x.shape[1])
     if comp.use_beta:
         dbeta = dout.sum(axis=affine_axes)
     if comp.use_gamma:
-        dgamma = (dout * cache.xhat).sum(axis=affine_axes)
+        # x-hat is xu * inv here, the product norm_forward formed
+        xhat = (xu * inv).reshape(cache.x.shape) if fresh_var else cache.xhat
+        dgamma = (dout * xhat).sum(axis=affine_axes)
+        del xhat
     # dx is this call's own array, so each step updates it in place (as in norm_forward)
     dx = dout * _per_channel(cache.gamma, ndim) if comp.use_gamma else dout.copy()
     dx = dx.reshape(cache.region_shape)
 
-    axes, n, inv = cache.axes, cache.n, cache.inv
-    if cache.fresh and comp.use_var:
-        # var is taken about the mean even when the mean is not subtracted
-        xr = cache.x.reshape(cache.region_shape)
-        centered = xr - cache.mean
-        proj = (dx * (centered if comp.use_mean else xr)).sum(axis=axes, keepdims=True)
+    if fresh_var:
+        proj = (dx * xu).sum(axis=axes, keepdims=True)
         dx -= proj * (inv * inv / n) * centered
     if comp.use_var:
         dx *= inv
@@ -246,7 +286,6 @@ class GeneralizedNorm(Layer):
         self.gamma = Param(name + ".gamma", np.ones(channels))
         self.beta = Param(name + ".beta", np.zeros(channels))
         self.cache: NormCache | None = None
-        self.last_upstream: Array | None = None
 
     def params(self) -> list[Param]:
         on = (self.components.use_gamma, self.components.use_beta)
@@ -274,11 +313,12 @@ class GeneralizedNorm(Layer):
         )
 
     def forward(self, x, train=True, update_stats=True):
+        self._upstream = None
         out, self.cache = self._normalize(x)
         return out
 
-    def backward(self, dout):
-        self.last_upstream = dout
+    def backward(self, dout, keep_upstream=False):
+        self._upstream = dout if keep_upstream else None
         dx, dgamma, dbeta = norm_backward(dout, self.cache)
         self.gamma.grad[...] = dgamma
         self.beta.grad[...] = dbeta
@@ -316,6 +356,7 @@ class BatchNorm(GeneralizedNorm):
         self._serial = 0
 
     def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
+        self._upstream = None
         if not train:
             if not self.stats_initialized:
                 raise UninitializedStatsError(
@@ -339,13 +380,13 @@ class BatchNorm(GeneralizedNorm):
             self.batch_counter += 1
         return out
 
-    def backward(self, dout: Array) -> Array:
+    def backward(self, dout: Array, keep_upstream: bool = False) -> Array:
         if self.cache is not None and self.cache.token != self._serial:
             raise CacheMismatchError(
                 f"{self.name}: cache is from forward #{self.cache.token}, "
                 f"layer has since run forward #{self._serial}"
             )
-        return super().backward(dout)
+        return super().backward(dout, keep_upstream)
 
 
 # ---------------------------------------------------------------------------
@@ -359,19 +400,20 @@ class Conv3x3(Layer):
         self.kernel = Param(name + ".kernel", init_tensor((c_out, c_in, 3, 3), init, rng))
         self.last_in: Array | None = None
         self.last_out: Array | None = None
-        self.last_upstream: Array | None = None
 
     def params(self):
         return [self.kernel]
 
     def forward(self, x, train=True, update_stats=True):
+        self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = conv2d_forward(self.last_in, self.kernel.value)
         return self.last_out
 
-    def backward(self, dout):
-        self.last_upstream = as_tensor(dout)
-        dx, dk = conv2d_backward(self.last_upstream, self.last_in, self.kernel.value)
+    def backward(self, dout, keep_upstream=False):
+        dout = as_tensor(dout)
+        self._upstream = dout if keep_upstream else None
+        dx, dk = conv2d_backward(dout, self.last_in, self.kernel.value)
         self.kernel.grad[...] = dk
         return dx
 
@@ -387,18 +429,19 @@ class Dense(Layer):
         self.bias = Param(name + ".bias", np.zeros(d_out))
         self.last_in: Array | None = None
         self.last_out: Array | None = None
-        self.last_upstream: Array | None = None
 
     def params(self):
         return [self.weight, self.bias]
 
     def forward(self, x, train=True, update_stats=True):
+        self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = self.last_in @ self.weight.value + self.bias.value
         return self.last_out
 
-    def backward(self, dout):
-        self.last_upstream = as_tensor(dout)
+    def backward(self, dout, keep_upstream=False):
+        dout = as_tensor(dout)
+        self._upstream = dout if keep_upstream else None
         self.weight.grad[...] = self.last_in.T @ dout
         self.bias.grad[...] = dout.sum(axis=0)
         return dout @ self.weight.value.T
@@ -415,7 +458,7 @@ class ReLU(Layer):
         self.last_in = x
         return np.maximum(x, 0.0)
 
-    def backward(self, dout):
+    def backward(self, dout, keep_upstream=False):
         return dout * (self.last_in > 0)
 
 
@@ -427,7 +470,7 @@ class Flatten(Layer):
         self.in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout):
+    def backward(self, dout, keep_upstream=False):
         return dout.reshape(self.in_shape)
 
 
@@ -439,7 +482,7 @@ class GlobalAvgPool(Layer):
         self.in_shape = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, dout):
+    def backward(self, dout, keep_upstream=False):
         b, c, h, w = self.in_shape
         return np.broadcast_to(dout[:, :, None, None], self.in_shape) / (h * w)
 
@@ -493,15 +536,15 @@ class ResidualBlock(Layer):
         self.last_sum = h + shortcut
         return self.last_sum
 
-    def backward(self, dout):
+    def backward(self, dout, keep_upstream=False):
         dh = dout
         if self.norm2:
-            dh = self.norm2.backward(dh)
-        dh = self.conv2.backward(dh)
+            dh = self.norm2.backward(dh, keep_upstream)
+        dh = self.conv2.backward(dh, keep_upstream)
         dh = self.relu1.backward(dh)
         if self.norm1:
-            dh = self.norm1.backward(dh)
-        dx = self.conv1.backward(dh)
+            dh = self.norm1.backward(dh, keep_upstream)
+        dx = self.conv1.backward(dh, keep_upstream)
         dshort = dout[:, : self.c_in] if self.c_out > self.c_in else dout
         return dx + dshort
 
@@ -687,18 +730,22 @@ class Network:
             x = l.forward(x, train, update_stats)
         return x
 
-    def backward(self, dlogits: Array) -> Array:
+    def backward(self, dlogits: Array, keep_upstream: bool = False) -> Array:
+        """Backward through every layer; with keep_upstream each weighted
+        layer keeps the gradient at its output (Layer.last_upstream)."""
         d = dlogits
         for l in reversed(self.layers):
-            d = l.backward(d)
+            d = l.backward(d, keep_upstream)
         return d
 
-    def loss_and_grad(self, x, labels, update_stats=True) -> tuple[float, Array]:
+    def loss_and_grad(self, x, labels, update_stats=True,
+                      keep_upstream=False) -> tuple[float, Array]:
         """Training forward + backward; fills parameter gradients. Returns
-        (loss, logits)."""
+        (loss, logits). keep_upstream as in backward: the per-example
+        summands (grad_summands) and the upstream readers need it."""
         logits = self.forward(x, train=True, update_stats=update_stats)
         loss, dlogits = softmax_xent(logits, labels)
-        self.backward(dlogits)
+        self.backward(dlogits, keep_upstream)
         return loss, logits
 
     def loss_only(self, x, labels, train=True) -> float:

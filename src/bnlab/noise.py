@@ -109,7 +109,7 @@ def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
         size = chunk.stop - start
-        net.loss_and_grad(x[chunk], labels[chunk], update_stats=False)
+        net.loss_and_grad(x[chunk], labels[chunk], update_stats=False, keep_upstream=True)
         summands = [s.reshape(size, -1) for layer in net.layers for s in layer.grad_summands()]
         rows[chunk] = np.concatenate(summands, axis=1)
         rows[chunk] *= size

@@ -125,6 +125,7 @@ class TestCifarFormat:
         assert main(["train", "--config", config, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("run error:")
+        assert victim.name in err
         assert "Traceback" not in err
 
 

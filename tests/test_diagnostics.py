@@ -358,9 +358,9 @@ class TestChannelGradients:
     def test_zero_upstream_gives_zero(self):
         net = small_net(depth=1, norm="none")
         x, y = small_batch()
-        net.loss_and_grad(x, y, update_stats=False)
+        logits = net.forward(x, train=True, update_stats=False)
+        net.backward(np.zeros_like(logits), keep_upstream=True)
         conv = net.taps[0][1]
-        conv.last_upstream = np.zeros_like(conv.last_upstream)
         sums = conv.last_upstream.sum(axis=(0, 2, 3))
         assert_array_equal(sums, np.zeros(4))
 

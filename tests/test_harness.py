@@ -19,6 +19,7 @@ from bnlab.harness.config import (
 from bnlab.harness.data import (
     LabeledImageSet,
     augment_batch,
+    load_cifar10_dir,
     pad_crop_flip,
     parse_cifar10_bin,
     preprocess,
@@ -361,6 +362,19 @@ class TestCifarParser:
         p.write_bytes(self._record(5, 9))
         ds = parse_cifar10_bin(str(p))
         assert list(ds.labels) == [5]
+
+    def test_directory_training_set_is_the_five_batches_in_order(self, tmp_path):
+        gen = np.random.default_rng(4)
+        for name in [f"data_batch_{i}.bin" for i in range(1, 6)] + ["test_batch.bin"]:
+            records = gen.integers(0, 256, size=(3, 3073), dtype=np.uint8)
+            records[:, 0] %= 10
+            (tmp_path / name).write_bytes(records.tobytes())
+        train, test = load_cifar10_dir(str(tmp_path))
+        parts = [parse_cifar10_bin(str(tmp_path / f"data_batch_{i}.bin")) for i in range(1, 6)]
+        assert_array_equal(train.images, np.concatenate([p.images for p in parts]))
+        assert_array_equal(train.labels, np.concatenate([p.labels for p in parts]))
+        assert train.images.dtype == np.float64 and train.images.flags.c_contiguous
+        assert_array_equal(test.images, parse_cifar10_bin(str(tmp_path / "test_batch.bin")).images)
 
 
 class TestSynthDataset:

@@ -21,6 +21,7 @@ from bnlab.errors import (
 from bnlab.nn import (
     BatchNorm,
     BnComponents,
+    Conv3x3,
     Dense,
     GeneralizedNorm,
     Network,
@@ -326,6 +327,36 @@ class TestBnPeriod:
             return float(np.sum(o * proj))
 
         assert_allclose(dx, fd_grad(f, x), rtol=1e-6, atol=1e-9)
+
+
+class TestRecomputedXhat:
+    @pytest.mark.parametrize("stats", ["fresh", "stale", "eval"])
+    @pytest.mark.parametrize("flat", [False, True], ids=["4d", "2d"])
+    @pytest.mark.parametrize("comp", list(itertools.product([False, True], repeat=4)),
+                             ids=[f"comp{k}" for k in range(16)])
+    def test_property_and_backward_match_the_forwards_xhat_bitwise(self, comp, flat, stats):
+        # gamma 1 and beta 0 leave the forward's own x-hat as its output: *1 and +0 are exact
+        layer = make_bn(3, components=BnComponents(*comp), period=2)
+        gen = SeededRng(61).generator()
+        shape = (5, 3) if flat else (5, 3, 2, 2)
+        x = gen.normal(1.0, 2.0, size=shape)
+        if stats != "fresh":
+            layer.forward(gen.normal(size=shape))  # period 2: the next batch is stale
+        if stats == "eval":
+            out = layer.forward(x, train=False)
+            cache = norm_forward(x, layer.gamma.value, layer.beta.value, components=layer.components,
+                                 stats=(layer.running_mean, layer.running_var), eps=layer.eps)[1]
+        else:
+            out = layer.forward(x)
+            cache = layer.cache
+            assert cache.fresh is (stats == "fresh")
+        assert_array_equal(cache.xhat.view(np.int64), out.view(np.int64))
+        # norm_backward forms its own x-hat on the fresh path; grad_gamma reads it
+        up = gen.normal(size=shape)
+        dgamma = norm_backward(up, cache)[1]
+        if comp[2]:
+            want = (up * cache.xhat).sum(axis=(0,) + tuple(range(2, x.ndim)))
+            assert_array_equal(dgamma.view(np.int64), want.view(np.int64))
 
 
 class TestGeneralizedNorm:
@@ -647,3 +678,48 @@ class TestBuildNetwork:
         x = gen.normal(size=(3, 2, 4, 4))
         y = gen.integers(0, 2, size=3)
         self._fd_check_network(net, x, y)
+
+
+def _weighted_layers(net):
+    nested = [l._weighted() if isinstance(l, ResidualBlock) else [l] for l in net.layers]
+    return [l for ls in nested for l in ls if isinstance(l, (Conv3x3, Dense, GeneralizedNorm))]
+
+
+class TestUpstreamOnRequest:
+    NETS = [
+        dict(depth=3, residual=True, width=4),
+        dict(depth=2, norm="group", width=4, groups=2),
+        dict(depth=2, kind="dense", input_shape=(2, 3, 3), norm="layer"),
+    ]
+    IDS = ["residual-bn", "group", "dense-layer"]
+
+    @staticmethod
+    def _setup(overrides):
+        net = build_network(tiny_conv_config(**overrides), SeededRng(30))
+        gen = SeededRng(31).generator()
+        shape = (4,) + net.config.input_shape
+        return net, gen.normal(size=shape), gen.integers(0, 2, size=4)
+
+    @pytest.mark.parametrize("overrides", NETS, ids=IDS)
+    def test_training_step_keeps_no_upstream(self, overrides):
+        net, x, y = self._setup(overrides)
+        net.loss_and_grad(x, y)
+        layers = _weighted_layers(net)
+        assert len(layers) >= 3
+        for layer in layers:
+            with pytest.raises(CacheMismatchError):
+                layer.last_upstream
+            with pytest.raises(CacheMismatchError):
+                layer.grad_summands()
+
+    @pytest.mark.parametrize("overrides", NETS, ids=IDS)
+    def test_kept_upstream_lasts_until_the_next_forward(self, overrides):
+        net, x, y = self._setup(overrides)
+        net.loss_and_grad(x, y, update_stats=False, keep_upstream=True)
+        for layer in _weighted_layers(net):
+            for p, summands in zip(layer.params(), layer.grad_summands()):
+                assert_allclose(summands.sum(axis=0), p.grad, rtol=1e-12, atol=1e-15)
+        net.loss_only(x[::-1], y[::-1])  # a forward pass alone: fresh inputs, no upstream
+        for layer in _weighted_layers(net):
+            with pytest.raises(CacheMismatchError):
+                layer.grad_summands()
