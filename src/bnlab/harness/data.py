@@ -42,7 +42,7 @@ class LabeledImageSet:
 
 
 def _cifar10_records(source) -> tuple[Array, Array]:
-    """(labels [n] int64, pixel bytes [n, 3072] uint8) of one CIFAR-10 binary
+    """(labels [n] int64, pixels [n, 3, 32, 32] uint8) of one CIFAR-10 binary
     source, a path or raw bytes; each FormatError names the file."""
     if isinstance(source, (bytes, bytearray)):
         blob, name = bytes(source), "<bytes>"

@@ -151,12 +151,11 @@ def _conv_padded(flat: Array, n: int, kernel: Array, shape: tuple[int, ...]) -> 
     """conv2d_forward of the [b, c, h, w] input `shape` whose padded grid is (flat, n)."""
     b, _, h, w = shape
     o = kernel.shape[0]
-    taps = kernel.transpose(2, 3, 0, 1).reshape(9, o, -1).copy()  # [i*3 + j, o, c]
     acc, term = _scratch("acc", (o, n)), _scratch("term", (o, n))
-    (_, _, first), *rest = _shifted(flat, n, w)
-    np.matmul(taps[0], first, out=acc)
-    for tap, (_, _, window) in zip(taps[1:], rest):
-        acc += np.matmul(tap, window, out=term)
+    (i, j, first), *rest = _shifted(flat, n, w)
+    np.matmul(kernel[:, :, i, j], first, out=acc)
+    for i, j, window in rest:
+        acc += np.matmul(kernel[:, :, i, j], window, out=term)
     out = acc.reshape(o, b, h + 1, w + 1)[:, :, :h, :w]
     # copy(), not ascontiguousarray: at b = o = h = w = 1 the slice is already
     # contiguous, and the latter would return the scratch itself.
