@@ -13,11 +13,13 @@ gradients (no accumulation across calls). Nothing mutates its input
 arrays.
 
 After a training step a layer holds only what its backward reads: a
-convolution or dense layer its input (`last_in`) and output (`last_out`),
-a norm layer its NormCache (the input and the statistics; x-hat is
-recomputed from them on demand). The gradient that arrived at a weighted
-layer's output (`last_upstream`, read by `grad_summands` and the coherence
-and channel-gradient instruments) is kept only by a backward run with
+convolution or dense layer its input (`last_in`) and output (`last_out`,
+for the depth profile; a residual block's second convolution with no norm
+after it feeds only the block sum, and drops it), a norm layer its
+NormCache (the input and the statistics; x-hat is recomputed from them on
+demand). The gradient that arrived at a weighted layer's output
+(`last_upstream`, read by `grad_summands` and the coherence and
+channel-gradient instruments) is kept only by a backward run with
 `keep_upstream=True` (`Network.loss_and_grad` and `Network.backward` pass
 it down), and only until the layer's next forward; reading it otherwise
 raises CacheMismatchError.
@@ -526,6 +528,9 @@ class ResidualBlock(Layer):
         h = self.conv2.forward(h, train, update_stats)
         if self.norm2:
             h = self.norm2.forward(h, train, update_stats)
+        else:
+            # the branch output feeds only the sum below: no backward or tap reads it
+            self.conv2.last_out = None
         if self.c_out > self.c_in:
             b, _, hh, ww = x.shape
             shortcut = np.concatenate(
@@ -701,7 +706,8 @@ class Tap(NamedTuple):
     block sum for one fed by a residual trunk); None for dense layers.
     profiled says whether the depth profile reads layer.last_out: the tensor
     feeding a normalizer or a ReLU. Only the second convolution of an
-    unnormalized residual block, which feeds just the shortcut sum, is out.
+    unnormalized residual block, which feeds just the shortcut sum, is out
+    (and keeps no last_out).
     """
 
     label: str

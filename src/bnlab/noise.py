@@ -27,15 +27,22 @@ from .tensor import Array, SeededRng
 MODES = ("with_replacement", "without_replacement")
 
 
+# rows per block when the squared deviation norms are formed; one block of
+# deviations is their only temporary
+_ROW_BLOCK = 128
+
+
 @dataclass(frozen=True)
 class GradientSet:
     """Per-example gradients, one row per example.
 
     The set is immutable: `matrix` is a read-only view of the array passed
-    in (which the caller must not write to afterwards), and the deviations,
-    C, sum_i ||Delta_i||^2 and every Monte-Carlo draw are computed on first
-    use and kept, so a table over many (lr, batch size) cells does the
-    lr-free work once.
+    in (which the caller must not write to afterwards). Besides the rows it
+    keeps only vectors: the mean gradient, each deviation's squared norm
+    ||Delta_i||^2 (formed over blocks of rows, so no N x P deviations copy
+    is held) and the per-trial squared norms of every Monte-Carlo draw, each
+    computed on first use. A table over many (lr, batch size) cells thus
+    does the lr-free work once.
     """
 
     matrix: Array  # [n_examples, n_params]
@@ -58,26 +65,39 @@ class GradientSet:
         return self.matrix.shape[1]
 
     def mean_gradient(self) -> Array:
-        return self.matrix.mean(axis=0)
+        """g_bar, read-only."""
+        return self._mean
 
     def deviations(self) -> Array:
-        return self._deviations
-
-    @cached_property
-    def _deviations(self) -> Array:
-        d = self.matrix - self.mean_gradient()
+        """Delta_i = g_i - g_bar, one row per example: a new read-only array
+        on each call, which the set does not keep."""
+        d = self.matrix - self._mean
         d.flags.writeable = False
         return d
 
     @cached_property
+    def _mean(self) -> Array:
+        g = self.matrix.mean(axis=0)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def _square_norms(self) -> Array:
+        """||Delta_i||^2 for each example."""
+        out = np.empty(self.n)
+        for s in range(0, self.n, _ROW_BLOCK):
+            d = self.matrix[s : s + _ROW_BLOCK] - self._mean
+            out[s : s + _ROW_BLOCK] = np.einsum("ij,ij->i", d, d)
+        out.flags.writeable = False
+        return out
+
+    @cached_property
     def _noise_constant(self) -> float:
-        d = self._deviations
-        return float(np.mean(np.einsum("ij,ij->i", d, d)))
+        return float(np.mean(self._square_norms))
 
     @cached_property
     def _total_square(self) -> float:
-        d = self._deviations
-        return float(np.einsum("ij,ij->", d, d))
+        return float(np.sum(self._square_norms))
 
 
 def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -> GradientSet:
@@ -110,9 +130,12 @@ def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -
         chunk = slice(start, min(start + batch_size, n))
         size = chunk.stop - start
         net.loss_and_grad(x[chunk], labels[chunk], update_stats=False, keep_upstream=True)
-        summands = [s.reshape(size, -1) for layer in net.layers for s in layer.grad_summands()]
-        rows[chunk] = np.concatenate(summands, axis=1)
-        rows[chunk] *= size
+        col = 0
+        for layer in net.layers:
+            for s in layer.grad_summands():
+                s = s.reshape(size, -1)
+                np.multiply(s, size, out=rows[chunk, col : col + s.shape[1]])
+                col += s.shape[1]
     return GradientSet(rows)
 
 
@@ -159,10 +182,11 @@ def empirical_sgd_noise(
 ) -> EmpiricalNoise:
     """Monte-Carlo estimate of the squared minibatch step deviation.
 
-    The per-trial squared norms are drawn once per (batch_size, trials,
-    seed, mode) and kept on `gradients`; the lr^2 factor multiplies their
-    average at the end, so estimates for two learning rates on the same seed
-    differ by exactly (lr1/lr2)^2.
+    A trial's deviation is the mean of its drawn rows minus g_bar. The
+    per-trial squared norms are drawn once per (batch_size, trials, seed,
+    mode) and kept on `gradients`; the lr^2 factor multiplies their average
+    at the end, so estimates for two learning rates on the same seed differ
+    by exactly (lr1/lr2)^2.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -180,14 +204,15 @@ def empirical_sgd_noise(
         # Without replacement at b = N every trial takes the whole set, whose mean
         # deviation is 0 by definition; drawing it would leave only rounding noise.
         if mode == "with_replacement" or batch_size < n:
-            devs = gradients.deviations()
+            rows, mean = gradients.matrix, gradients.mean_gradient()
             gen = SeededRng(seed).generator()
             for t in range(trials):
                 if mode == "with_replacement":
                     idx = gen.integers(0, n, size=batch_size)
                 else:
                     idx = gen.permutation(n)[:batch_size]
-                diff = devs[idx].mean(axis=0)
+                diff = rows[idx].mean(axis=0)
+                diff -= mean
                 per_trial[t] = float(diff @ diff)
         per_trial.flags.writeable = False
         gradients._draws[key] = per_trial

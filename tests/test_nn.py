@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -711,6 +712,29 @@ class TestUpstreamOnRequest:
                 layer.last_upstream
             with pytest.raises(CacheMismatchError):
                 layer.grad_summands()
+
+    def test_unnormalized_residual_block_holds_three_activations(self):
+        # the depth-20 unnormalized twin at criterion-07 shapes (b = 64, c = 12, 8x8)
+        cfg = NetworkConfig(depth=20, kind="conv", width=12, class_count=10,
+                            input_shape=(3, 8, 8), norm="none", residual=True)
+        gen = SeededRng(8).generator()
+        x, y = gen.normal(size=(64, 3, 8, 8)), gen.integers(0, 10, size=64)
+        build_network(cfg, SeededRng(1)).loss_and_grad(x, y)  # sizes the conv scratch
+        net = build_network(cfg, SeededRng(0).child(100))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net.loss_and_grad(x, y)
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        blocks = [l for l in net.layers if isinstance(l, ResidualBlock)]
+        assert len(blocks) == 10
+        assert all(b.conv2.last_out is None for b in blocks)
+        # per block conv1's output (the ReLU's input), the ReLU's output (conv2's
+        # input) and the block sum; conv2's output, which nothing reads, is gone
+        act = 64 * 12 * 8 * 8 * 8
+        assert 30 * act <= held < 31 * act
 
     @pytest.mark.parametrize("overrides", NETS, ids=IDS)
     def test_kept_upstream_lasts_until_the_next_forward(self, overrides):

@@ -8,6 +8,7 @@ is C / b = 1.75 and the closed form gives (4 - 2) / (2 * 16) * 14 = 0.875.
 import inspect
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,14 +57,15 @@ class TestGradientSet:
         assert TOY.dim == 1
         assert_allclose(TOY.mean_gradient(), [3.0])
         assert_allclose(TOY.deviations().ravel(), [-2.0, -1.0, 0.0, 3.0])
+        assert TOY.deviations() is not TOY.deviations()  # formed on each call, not kept
 
     def test_matrix_and_deviations_are_read_only(self):
         m = SeededRng(9).generator().normal(size=(5, 3))
         gs = GradientSet(m)
-        for arr in (gs.matrix, gs.deviations()):
+        for arr in (gs.matrix, gs.mean_gradient(), gs.deviations()):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
-                arr[0, 0] = 1.0
+                arr[(0,) * arr.ndim] = 1.0
         # the caller's own array is left as it was
         assert m.flags.writeable
 
@@ -194,16 +196,21 @@ class TestEmpiricalNoise:
 
 
 def loop_summary(matrix, lr, batch_size, trials, seed):
-    """noise_summary's fields by the plain per-trial loop, nothing shared."""
+    """noise_summary's fields from their definitions by the plain per-trial
+    loop, nothing shared: C and sum_i ||Delta_i||^2 from the squared norms of
+    the rows Delta_i = g_i - g_bar, and per trial the squared norm of the
+    drawn rows' mean minus g_bar."""
     n = matrix.shape[0]
-    d = matrix - matrix.mean(axis=0)
-    c = float(np.mean(np.einsum("ij,ij->i", d, d)))
+    mean = matrix.mean(axis=0)
+    d = matrix - mean
+    square_norms = np.einsum("ij,ij->i", d, d)
+    c = float(np.mean(square_norms))
     scale = lr * lr
     fields = {
         "noise_constant": c,
         "bound": scale * c / batch_size,
         "closed_form": (
-            scale * (n - batch_size) / (batch_size * n * n) * float(np.einsum("ij,ij->", d, d))
+            scale * (n - batch_size) / (batch_size * n * n) * float(np.sum(square_norms))
         ),
     }
     for mode in ("with_replacement", "without_replacement"):
@@ -217,13 +224,17 @@ def loop_summary(matrix, lr, batch_size, trials, seed):
                 continue
             else:
                 idx = gen.permutation(n)[:batch_size]
-            diff = d[idx].mean(axis=0)
+            diff = matrix[idx].mean(axis=0) - mean
             per_trial[t] = float(diff @ diff)
         fields[mode] = (
             scale * float(np.mean(per_trial)),
             scale * float(np.std(per_trial, ddof=1)) / np.sqrt(trials),
         )
     return fields
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want) if want else abs(got)
 
 
 class TestNoiseSummary:
@@ -245,6 +256,49 @@ class TestNoiseSummary:
                     est = getattr(s, mode)
                     assert (est.mode, est.trials) == (mode, 50)
                     assert (est.estimate, est.std_err) == ref[mode]
+
+    @pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
+    def test_cells_match_the_explicit_deviations(self, mode):
+        # 200 rows cross a 128-row block; the reference holds the full
+        # deviation matrix and averages its drawn rows
+        n, lr = 200, 0.1
+        m = SeededRng(22).generator().normal(0.3, 1.0, size=(n, 30))
+        gs = GradientSet(m)
+        d = m - m.mean(axis=0)
+        c = float(np.mean(np.einsum("ij,ij->i", d, d)))
+        total = float(np.einsum("ij,ij->", d, d))
+        for b in (1, 4, 64, n):
+            s = noise_summary(gs, lr=lr, batch_size=b, trials=40, seed=6)
+            assert _rel(s.noise_constant, c) <= 1e-14
+            assert _rel(s.closed_form, lr * lr * (n - b) / (b * n * n) * total) <= 1e-14
+            gen = SeededRng(6).generator()
+            per_trial = np.zeros(40)
+            if mode == "with_replacement" or b < n:
+                for t in range(40):
+                    if mode == "with_replacement":
+                        idx = gen.integers(0, n, size=b)
+                    else:
+                        idx = gen.permutation(n)[:b]
+                    diff = d[idx].mean(axis=0)
+                    per_trial[t] = diff @ diff
+            est = getattr(s, mode)
+            assert _rel(est.estimate, lr * lr * np.mean(per_trial)) <= 1e-14
+            assert _rel(est.std_err, lr * lr * np.std(per_trial, ddof=1) / np.sqrt(40)) <= 1e-14
+
+    def test_a_table_adds_less_than_one_copy_of_the_rows(self):
+        # the set keeps vectors beside its rows; a draw of b < N rows gathers b x P
+        m = SeededRng(23).generator().normal(size=(300, 400))
+        gs = GradientSet(m)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for lr in (0.01, 1.0):
+                for b in (1, 4, 64):
+                    noise_summary(gs, lr=lr, batch_size=b, trials=20, seed=0)
+            added = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert added < m.nbytes
 
     def test_toy_summary(self):
         s = noise_summary(TOY, lr=1.0, batch_size=2, trials=20000, seed=11)
