@@ -338,7 +338,6 @@ class ClasswiseGradient:
     """Parameter gradients with the logit gradient masked to one class."""
 
     class_index: int
-    norms: dict  # param name -> l2 norm
     flat: Array
 
 
@@ -356,8 +355,7 @@ def classwise_gradient_split(net: Network, x: Array, labels: Array) -> list[Clas
         masked = np.zeros_like(full)
         masked[:, j] = full[:, j]
         net.backward(masked)
-        norms = {p.name: float(np.linalg.norm(p.grad)) for p in net.params()}
-        parts.append(ClasswiseGradient(class_index=j, norms=norms, flat=net.flat_grads()))
+        parts.append(ClasswiseGradient(class_index=j, flat=net.flat_grads()))
     return parts
 
 

@@ -22,7 +22,7 @@ from typing import Any, Callable, NamedTuple
 
 from ..diagnostics import INSTRUMENTS
 from ..errors import ConfigError
-from ..nn import NetworkConfig
+from ..nn import NETWORK_KINDS, NORMS, PLACEMENTS, NetworkConfig
 from ..tensor import InitScheme
 
 # the canonical learning-rate sweep, named `standard` in a config
@@ -44,6 +44,9 @@ class NoiseConfig:
     batch_sizes: tuple[int, ...] = (1, 5, 25)
     lrs: tuple[float, ...] = (0.1, 1.0)
     trials: int = 100_000
+
+
+DATASET_KINDS = ("synthetic", "cifar10")  # the allowed values of DatasetConfig.kind
 
 
 @dataclass
@@ -103,7 +106,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown instrument {name!r}")
             if every < 1:
                 raise ConfigError(f"diagnostics.{name} period must be >= 1")
-        if self.dataset.kind not in ("synthetic", "cifar10"):
+        if self.dataset.kind not in DATASET_KINDS:
             raise ConfigError(f"unknown dataset kind {self.dataset.kind!r}")
         if self.dataset.kind == "cifar10" and not self.dataset.directory:
             raise ConfigError("dataset.dir is required for dataset.kind = cifar10")
@@ -162,7 +165,7 @@ def _bool(raw):
     return raw.lower() in ("true", "yes", "1")
 
 
-def _choice(*allowed):
+def _choice(allowed: tuple[str, ...]) -> Kind:
     def parse(raw):
         if raw not in allowed:
             raise ValueError(f"must be one of {allowed}, got {raw!r}")
@@ -206,7 +209,7 @@ SHAPE = Kind(_shape, INTS.render)
 _STEPS = _list(Kind(_step, lambda step: "{!r}:{!r}".format(*step)))
 SCHEDULE = Kind(lambda raw: () if raw.lower() == "none" else _STEPS.parse(raw),
                 lambda steps: _STEPS.render(steps) if steps else "none")
-INIT = Kind(lambda raw: InitScheme(_choice("xavier", "he").parse(raw)), lambda v: v.kind)
+INIT = Kind(InitScheme, lambda v: v.kind)  # InitScheme rejects an unknown kind
 
 # key, value kind[, ExperimentConfig attribute path if not the key itself],
 # in echo order. A `diagnostics.<name>` path is the instrument's period in
@@ -215,10 +218,10 @@ _ROWS = {
     key: (kind, path[0] if path else key)
     for key, kind, *path in (
         ("network.depth", INT),
-        ("network.kind", _choice("conv", "dense")),
+        ("network.kind", _choice(NETWORK_KINDS)),
         ("network.width", INT),
-        ("network.norm", _choice("batch", "layer", "instance", "group", "none")),
-        ("network.placement", _choice("per_layer", "final_only")),
+        ("network.norm", _choice(NORMS)),
+        ("network.placement", _choice(PLACEMENTS)),
         ("network.groups", INT),
         ("network.residual", BOOL),
         ("network.init", INIT),
@@ -229,7 +232,7 @@ _ROWS = {
         ("network.bn_use_var", BOOL, "network.bn_components.use_var"),
         ("network.bn_use_gamma", BOOL, "network.bn_components.use_gamma"),
         ("network.bn_use_beta", BOOL, "network.bn_components.use_beta"),
-        ("dataset.kind", _choice("synthetic", "cifar10")),
+        ("dataset.kind", _choice(DATASET_KINDS)),
         ("dataset.dir", STR, "dataset.directory"),
         ("dataset.classes", INT),
         ("dataset.per_class", INT),

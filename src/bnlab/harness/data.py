@@ -1,5 +1,6 @@
-"""Datasets: CIFAR-10 binary ingestion, synthetic blobs, augmentation,
-channel-wise preprocessing."""
+"""Datasets: CIFAR-10 binary ingestion, synthetic blobs, augmentation (the
+CIFAR-10 recipe of He et al. 2016: a fixed PAD-pixel zero pad, random crop,
+horizontal flip), channel-wise preprocessing."""
 from __future__ import annotations
 
 import os
@@ -11,6 +12,7 @@ from ..errors import DimensionError, FormatError, SizeError
 from ..tensor import Array, SeededRng
 
 CIFAR_RECORD = 3073  # 1 label byte + 3 * 32 * 32 pixel bytes
+PAD = 4  # augmentation's zero padding per spatial side
 
 
 @dataclass
@@ -119,51 +121,43 @@ def synth_dataset(
     return LabeledImageSet(images, labels[order], class_count=classes)
 
 
-def pad_crop_flip(image: Array, off_y: int, off_x: int, flip: bool, pad: int = 4) -> Array:
+def pad_crop_flip(image: Array, off_y: int, off_x: int, flip: bool) -> Array:
     """Deterministic core of the augmentation: zero-pad each spatial side by
-    `pad`, crop the original-size window at (off_y, off_x), optionally
-    mirror horizontally."""
+    PAD, crop the original-size window at (off_y, off_x), optionally mirror
+    horizontally."""
     if image.ndim != 3:
         raise DimensionError(f"expected a [c,h,w] image, got shape {image.shape}")
     c, h, w = image.shape
-    if not (0 <= off_y <= 2 * pad and 0 <= off_x <= 2 * pad):
-        raise DimensionError(f"crop offsets must lie in [0, {2 * pad}]")
-    padded = np.zeros((c, h + 2 * pad, w + 2 * pad), dtype=image.dtype)
-    padded[:, pad : pad + h, pad : pad + w] = image
+    if not (0 <= off_y <= 2 * PAD and 0 <= off_x <= 2 * PAD):
+        raise DimensionError(f"crop offsets must lie in [0, {2 * PAD}]")
+    padded = np.zeros((c, h + 2 * PAD, w + 2 * PAD), dtype=image.dtype)
+    padded[:, PAD : PAD + h, PAD : PAD + w] = image
     out = padded[:, off_y : off_y + h, off_x : off_x + w]
     if flip:
         out = out[:, :, ::-1]
     return np.ascontiguousarray(out)
 
 
-def augment_batch(images: Array, rng_or_gen, pad: int = 4) -> Array:
-    """Random crop-with-padding plus horizontal flip (p = 1/2) per image."""
-    gen = rng_or_gen.generator() if isinstance(rng_or_gen, SeededRng) else rng_or_gen
+def augment_batch(images: Array, gen: np.random.Generator) -> Array:
+    """Random crop-with-padding plus horizontal flip (p = 1/2) per image,
+    drawn from gen."""
     out = np.empty_like(images)
     for i in range(images.shape[0]):
-        off_y, off_x = gen.integers(0, 2 * pad + 1, size=2)
+        off_y, off_x = gen.integers(0, 2 * PAD + 1, size=2)
         flip = bool(gen.random() < 0.5)
-        out[i] = pad_crop_flip(images[i], int(off_y), int(off_x), flip, pad)
+        out[i] = pad_crop_flip(images[i], int(off_y), int(off_x), flip)
     return out
 
 
-@dataclass(frozen=True)
-class ChannelStats:
-    mean: Array  # [c]
-    std: Array  # [c], floored at 1e-8
-
-
-def preprocess(
-    train: LabeledImageSet, *others: LabeledImageSet
-) -> tuple[list[LabeledImageSet], ChannelStats]:
-    """Channel-wise mean/std normalization, statistics from the training set
-    only; every other set is transformed with the training statistics."""
+def preprocess(train: LabeledImageSet, *others: LabeledImageSet) -> list[LabeledImageSet]:
+    """Channel-wise mean/std normalization (std floored at 1e-8), statistics
+    from the training set only; every other set is transformed with the
+    training statistics."""
     mean = train.images.mean(axis=(0, 2, 3))
     std = np.maximum(train.images.std(axis=(0, 2, 3)), 1e-8)
-    stats = ChannelStats(mean=mean, std=std)
 
     def apply(s: LabeledImageSet) -> LabeledImageSet:
         shifted = (s.images - mean[:, None, None]) / std[:, None, None]
         return LabeledImageSet(shifted, s.labels, s.class_count)
 
-    return [apply(s) for s in (train, *others)], stats
+    return [apply(s) for s in (train, *others)]

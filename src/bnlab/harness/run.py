@@ -72,7 +72,7 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSe
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds the training set ({train.n})"
         )
-    (train, test), _ = preprocess(train, test)
+    train, test = preprocess(train, test)
     return train, test
 
 

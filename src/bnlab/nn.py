@@ -23,6 +23,10 @@ channel-gradient instruments) is kept only by a backward run with
 `keep_upstream=True` (`Network.loss_and_grad` and `Network.backward` pass
 it down), and only until the layer's next forward; reading it otherwise
 raises CacheMismatchError.
+
+Training is momentum SGD (sgd_step) with one weight decay on every
+parameter, norm gains and shifts and dense biases included, as in the
+setup of Bjorck et al. (2018).
 """
 from __future__ import annotations
 
@@ -60,7 +64,6 @@ class Param:
     name: str
     value: Array
     grad: Array = None
-    decay: bool = True
 
     def __post_init__(self):
         if self.grad is None:
@@ -621,7 +624,8 @@ class SgdState:
 def sgd_step(params: list[Param], state: SgdState, epoch_fraction: float = 0.0) -> bool:
     """One momentum-SGD update, in place.
 
-    v <- momentum * v + (grad + weight_decay * value); value <- value - lr * v.
+    v <- momentum * v + (grad + weight_decay * value); value <- value - lr * v,
+    for every parameter alike.
     Returns False when any gradient entry was non-finite (the update is still
     applied, so the caller can decide what to do with the wreckage).
     """
@@ -633,7 +637,7 @@ def sgd_step(params: list[Param], state: SgdState, epoch_fraction: float = 0.0) 
     finite = True
     for p, v in zip(params, state.velocities):
         g = p.grad
-        if p.decay and state.weight_decay != 0.0:
+        if state.weight_decay != 0.0:
             g = g + state.weight_decay * p.value
         if not np.all(np.isfinite(g)):
             finite = False
@@ -647,13 +651,19 @@ def sgd_step(params: list[Param], state: SgdState, epoch_fraction: float = 0.0) 
 # network assembly
 
 
+# the allowed values of NetworkConfig.kind, .norm and .placement
+NETWORK_KINDS = ("conv", "dense")
+NORMS = ("batch", "layer", "instance", "group", "none")
+PLACEMENTS = ("per_layer", "final_only")
+
+
 @dataclass
 class NetworkConfig:
     """Architecture description.
 
     depth counts feature layers (convolutions for kind="conv", hidden dense
     layers for kind="dense"); the classifier head is extra. norm picks the
-    normalization scheme ("batch", "layer", "instance", "group", "none") and
+    normalization scheme (one of NORMS; "none" for no normalization) and
     placement puts it after every feature layer ("per_layer") or only after
     the last one ("final_only"). residual groups convolutions into 2-conv
     identity-shortcut blocks (even depth: depth/2 blocks; odd depth: a stem
@@ -678,11 +688,11 @@ class NetworkConfig:
     def validate(self):
         if self.depth < 1:
             raise ConfigError("depth must be >= 1")
-        if self.kind not in ("conv", "dense"):
+        if self.kind not in NETWORK_KINDS:
             raise ConfigError(f"unknown network kind {self.kind!r}")
-        if self.norm not in ("batch", "layer", "instance", "group", "none"):
+        if self.norm not in NORMS:
             raise ConfigError(f"unknown norm {self.norm!r}")
-        if self.placement not in ("per_layer", "final_only"):
+        if self.placement not in PLACEMENTS:
             raise ConfigError(f"unknown norm placement {self.placement!r}")
         if self.width < 1 or self.groups < 1 or self.class_count < 2:
             raise ConfigError("width and groups must be >= 1 and class_count >= 2")
@@ -754,19 +764,17 @@ class Network:
         self.backward(dlogits, keep_upstream)
         return loss, logits
 
-    def loss_only(self, x, labels, train=True) -> float:
-        """Loss without a backward pass and without touching any state."""
-        logits = self.forward(x, train=train, update_stats=False)
+    def loss_only(self, x, labels) -> float:
+        """Training-mode loss, without a backward pass or any state change."""
+        logits = self.forward(x, train=True, update_stats=False)
         loss, _ = softmax_xent(logits, labels)
         return loss
 
-    def predict(self, x) -> Array:
-        return self.forward(x, train=False)
-
     def accuracy(self, x, labels, batch: int = 512) -> float:
+        """Evaluation-mode accuracy, in chunks of batch examples."""
         hits = 0
         for i in range(0, x.shape[0], batch):
-            logits = self.predict(x[i : i + batch])
+            logits = self.forward(x[i : i + batch], train=False)
             hits += int(np.sum(np.argmax(logits, axis=1) == labels[i : i + batch]))
         return hits / x.shape[0]
 
@@ -792,7 +800,7 @@ class Network:
 
     def loss_on(self, batch) -> float:
         x, labels = batch
-        return self.loss_only(x, labels, train=True)
+        return self.loss_only(x, labels)
 
     def grad_on(self, batch) -> Array:
         x, labels = batch

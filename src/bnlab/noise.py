@@ -13,11 +13,13 @@ closed_form_noise, is lr^2 C (N - b) / (b N): the finite-population variance
 written with an N instead of the N - 1. All three are kept separate so they
 can be compared against the Monte-Carlo estimate rather than silently
 reconciled.
+
+A GradientSet forms g_bar and every ||Delta_i||^2 when it is built; C and
+the closed form are then sums over that vector.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -32,72 +34,34 @@ MODES = ("with_replacement", "without_replacement")
 _ROW_BLOCK = 128
 
 
-@dataclass(frozen=True)
 class GradientSet:
     """Per-example gradients, one row per example.
 
-    The set is immutable: `matrix` is a read-only view of the array passed
-    in (which the caller must not write to afterwards). Besides the rows it
-    keeps only vectors: the mean gradient, each deviation's squared norm
-    ||Delta_i||^2 (formed over blocks of rows, so no N x P deviations copy
-    is held) and the per-trial squared norms of every Monte-Carlo draw, each
-    computed on first use. A table over many (lr, batch size) cells thus
-    does the lr-free work once.
+    `matrix` is a read-only view of the array passed in (which the caller
+    must not write to afterwards). The constructor also forms the mean
+    gradient `mean` and each deviation's squared norm `square_norms`,
+    ||Delta_i||^2, over blocks of rows, so no N x P deviations copy is held;
+    `draws` keeps the per-trial squared norms of each Monte-Carlo cell drawn
+    on the set. A table over many (lr, batch size) cells thus does the
+    lr-free work once.
     """
 
-    matrix: Array  # [n_examples, n_params]
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64).view()
+    def __init__(self, matrix: Array):
+        m = np.asarray(matrix, dtype=np.float64).view()
         if m.ndim != 2 or m.shape[0] < 1:
             raise SizeError(f"gradient matrix must be 2-d and non-empty, got {m.shape}")
         m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        # per-trial squared norms keyed by (batch_size, trials, seed, mode)
-        object.__setattr__(self, "_draws", {})
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def mean_gradient(self) -> Array:
-        """g_bar, read-only."""
-        return self._mean
-
-    def deviations(self) -> Array:
-        """Delta_i = g_i - g_bar, one row per example: a new read-only array
-        on each call, which the set does not keep."""
-        d = self.matrix - self._mean
-        d.flags.writeable = False
-        return d
-
-    @cached_property
-    def _mean(self) -> Array:
-        g = self.matrix.mean(axis=0)
-        g.flags.writeable = False
-        return g
-
-    @cached_property
-    def _square_norms(self) -> Array:
-        """||Delta_i||^2 for each example."""
-        out = np.empty(self.n)
+        self.matrix = m  # [n_examples, n_params]
+        self.n = m.shape[0]
+        self.mean = m.mean(axis=0)
+        self.mean.flags.writeable = False
+        self.square_norms = np.empty(self.n)
         for s in range(0, self.n, _ROW_BLOCK):
-            d = self.matrix[s : s + _ROW_BLOCK] - self._mean
-            out[s : s + _ROW_BLOCK] = np.einsum("ij,ij->i", d, d)
-        out.flags.writeable = False
-        return out
-
-    @cached_property
-    def _noise_constant(self) -> float:
-        return float(np.mean(self._square_norms))
-
-    @cached_property
-    def _total_square(self) -> float:
-        return float(np.sum(self._square_norms))
+            d = m[s : s + _ROW_BLOCK] - self.mean
+            self.square_norms[s : s + _ROW_BLOCK] = np.einsum("ij,ij->i", d, d)
+        self.square_norms.flags.writeable = False
+        # per-trial squared norms keyed by (batch_size, trials, seed, mode)
+        self.draws: dict[tuple, Array] = {}
 
 
 def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -> GradientSet:
@@ -141,7 +105,7 @@ def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -
 
 def noise_constant(gradients: GradientSet) -> float:
     """C = mean squared deviation of per-example gradients from their mean."""
-    return gradients._noise_constant
+    return float(np.mean(gradients.square_norms))
 
 
 def sgd_noise_bound(c: float, lr: float, batch_size: int) -> float:
@@ -161,15 +125,14 @@ def closed_form_noise(gradients: GradientSet, lr: float, batch_size: int) -> flo
     n = gradients.n
     if not 1 <= batch_size <= n:
         raise SizeError(f"batch size must be in [1, {n}], got {batch_size}")
-    return lr * lr * (n - batch_size) / (batch_size * n * n) * gradients._total_square
+    total = float(np.sum(gradients.square_norms))
+    return lr * lr * (n - batch_size) / (batch_size * n * n) * total
 
 
 @dataclass(frozen=True)
 class EmpiricalNoise:
     estimate: float
     std_err: float
-    trials: int
-    mode: str
 
 
 def empirical_sgd_noise(
@@ -184,7 +147,7 @@ def empirical_sgd_noise(
 
     A trial's deviation is the mean of its drawn rows minus g_bar. The
     per-trial squared norms are drawn once per (batch_size, trials, seed,
-    mode) and kept on `gradients`; the lr^2 factor multiplies their average
+    mode) and kept in `gradients.draws`; the lr^2 factor multiplies their average
     at the end, so estimates for two learning rates on the same seed differ
     by exactly (lr1/lr2)^2.
     """
@@ -198,13 +161,13 @@ def empirical_sgd_noise(
     if trials < 1:
         raise SizeError(f"trials must be >= 1, got {trials}")
     key = (batch_size, trials, seed, mode)
-    per_trial = gradients._draws.get(key)
+    per_trial = gradients.draws.get(key)
     if per_trial is None:
         per_trial = np.zeros(trials)
         # Without replacement at b = N every trial takes the whole set, whose mean
         # deviation is 0 by definition; drawing it would leave only rounding noise.
         if mode == "with_replacement" or batch_size < n:
-            rows, mean = gradients.matrix, gradients.mean_gradient()
+            rows, mean = gradients.matrix, gradients.mean
             gen = SeededRng(seed).generator()
             for t in range(trials):
                 if mode == "with_replacement":
@@ -215,21 +178,18 @@ def empirical_sgd_noise(
                 diff -= mean
                 per_trial[t] = float(diff @ diff)
         per_trial.flags.writeable = False
-        gradients._draws[key] = per_trial
+        gradients.draws[key] = per_trial
     scale = lr * lr
     estimate = scale * float(np.mean(per_trial))
     if trials >= 2:
         std_err = scale * float(np.std(per_trial, ddof=1)) / np.sqrt(trials)
     else:
         std_err = float("nan")
-    return EmpiricalNoise(estimate=estimate, std_err=std_err, trials=trials, mode=mode)
+    return EmpiricalNoise(estimate=estimate, std_err=std_err)
 
 
 @dataclass(frozen=True)
 class NoiseEstimate:
-    lr: float
-    batch_size: int
-    n_examples: int
     noise_constant: float
     bound: float  # lr^2 C / b
     closed_form: float  # lr^2 C (N - b) / (b N)
@@ -241,15 +201,13 @@ def noise_summary(
     gradients: GradientSet,
     lr: float,
     batch_size: int,
-    trials: int = 2000,
-    seed: int = 0,
+    *,
+    trials: int,
+    seed: int,
 ) -> NoiseEstimate:
     """All noise quantities for one (lr, batch size) pair in one report."""
     c = noise_constant(gradients)
     return NoiseEstimate(
-        lr=lr,
-        batch_size=batch_size,
-        n_examples=gradients.n,
         noise_constant=c,
         bound=sgd_noise_bound(c, lr, batch_size),
         closed_form=closed_form_noise(gradients, lr, batch_size),

@@ -44,19 +44,22 @@ class SeededRng:
         return SeededRng(self.seed, self.stream * 1_000_003 + k + 1)
 
 
+INIT_KINDS = ("xavier", "he")  # the allowed values of InitScheme.kind
+
+
 @dataclass(frozen=True)
 class InitScheme:
     """Weight initialization family.
 
-    kind: "xavier" (var = 2 / (fan_in + fan_out)) or "he" (var = 2 / fan_in).
-    Draws are i.i.d. zero-mean normal in either case.
+    kind, one of INIT_KINDS: "xavier" (var = 2 / (fan_in + fan_out)) or
+    "he" (var = 2 / fan_in). Draws are i.i.d. zero-mean normal in either case.
     """
 
     kind: str
 
     def __post_init__(self):
-        if self.kind not in ("xavier", "he"):
-            raise ValueError(f"unknown init scheme {self.kind!r}")
+        if self.kind not in INIT_KINDS:
+            raise ValueError(f"must be one of {INIT_KINDS}, got {self.kind!r}")
 
 
 XAVIER = InitScheme("xavier")

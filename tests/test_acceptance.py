@@ -284,7 +284,7 @@ def test_criterion_07_divergence_reproduction():
 
 def test_criterion_08_moment_growth():
     train = synth_dataset(10, 32, shape=(3, 16, 16), separation=10.0, seed=0)
-    (train,), _ = preprocess(train)
+    (train,) = preprocess(train)
     x = train.images[:64]
     ratios = {}
     for norm in ("none", "batch"):
@@ -303,7 +303,7 @@ def test_criterion_08_moment_growth():
 
 def test_criterion_09_coherence_ordering():
     train = synth_dataset(10, 32, shape=(3, 8, 8), separation=10.0, seed=0)
-    (train,), _ = preprocess(train)
+    (train,) = preprocess(train)
     x, y = train.images[:64], train.labels[:64]
     medians = {}
     chain_ok = True

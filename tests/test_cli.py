@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from bnlab.harness.cli import main
+from bnlab.harness.config import DATASET_KINDS
+from bnlab.nn import NETWORK_KINDS, NORMS, PLACEMENTS
 from bnlab.rmt import (FussCatalanDensity, condition_report, density, sample_product_spectrum,
                        support_upper)
+from bnlab.tensor import INIT_KINDS
 
 SMALL = """
 network.depth = 2
@@ -165,6 +168,19 @@ class TestExitCodes:
         p.write_text("network.depth = 2\nrmt.sigmas = 1\n")
         assert main(["rmt-spectrum", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == "config error: line 2: unknown key 'rmt.sigmas'\n"
+
+    @pytest.mark.parametrize("key, allowed", [
+        ("network.kind", NETWORK_KINDS), ("network.norm", NORMS),
+        ("network.placement", PLACEMENTS), ("network.init", INIT_KINDS),
+        ("dataset.kind", DATASET_KINDS),
+    ])
+    def test_bad_enumerated_value_is_one_with_its_line(self, tmp_path, capsys, key, allowed):
+        p = tmp_path / "c.cfg"
+        p.write_text(f"network.depth = 2\n{key} = bogus\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: line 2: bad value for {key!r}: must be one of {allowed}, got 'bogus'\n"
+        )
 
     @pytest.mark.parametrize("command", ["train", "init-moments"])
     def test_batch_beyond_training_set_is_one(self, tmp_path, capsys, command):

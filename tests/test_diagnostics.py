@@ -298,13 +298,12 @@ class TestClasswiseGradients:
         full = net.flat_grads()
         assert np.max(np.abs(total - full)) < 1e-10
 
-    def test_norms_per_param(self):
+    def test_one_part_per_class(self):
         net = small_net(depth=1)
         x, y = small_batch()
-        part = classwise_gradient_split(net, x, y)[0]
-        names = {p.name for p in net.params()}
-        assert set(part.norms) == names
-        assert all(v >= 0 for v in part.norms.values())
+        parts = classwise_gradient_split(net, x, y)
+        assert [p.class_index for p in parts] == list(range(net.config.class_count))
+        assert all(p.flat.shape == net.flat_params().shape for p in parts)
 
 
 class TestMeanVsGrad:

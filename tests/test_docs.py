@@ -4,7 +4,9 @@ import re
 
 from bnlab.diagnostics import INSTRUMENTS
 from bnlab.harness.cli import _DISPATCH
-from bnlab.harness.config import _ROWS
+from bnlab.harness.config import _ROWS, DATASET_KINDS
+from bnlab.nn import NETWORK_KINDS, NORMS, PLACEMENTS
+from bnlab.tensor import INIT_KINDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 README = os.path.join(ROOT, "README.md")
@@ -26,6 +28,18 @@ def test_cli_table_names_every_subcommand():
 def test_diagnostics_list_names_every_instrument_with_its_columns():
     listed = dict(re.findall(r"^  - `(\w+)`: `([^`]+)`", _section("Config grammar"), flags=re.M))
     assert listed == {name: ", ".join(("step", *cols)) for name, (cols, _, _) in INSTRUMENTS.items()}
+
+
+def test_enumerated_keys_list_their_allowed_values():
+    listed = {key: tuple(re.findall(r"`(\w+)`", values)) for key, values in re.findall(
+        r"`((?:network|dataset)\.\w+)` \(((?:`\w+`/)+`\w+`)", _section("Config grammar"))}
+    assert listed == {
+        "network.kind": NETWORK_KINDS,
+        "network.norm": NORMS,
+        "network.placement": PLACEMENTS,
+        "network.init": INIT_KINDS,
+        "dataset.kind": DATASET_KINDS,
+    }
 
 
 def test_every_backticked_config_key_exists():

@@ -36,7 +36,7 @@ from bnlab.nn import (
     sgd_step,
     softmax_xent,
 )
-from bnlab.tensor import SeededRng
+from bnlab.tensor import InitScheme, SeededRng
 
 from finite_diff import fd_grad
 
@@ -517,12 +517,30 @@ class TestSgd:
         assert_array_equal(p.value, v0 - 0.037 * g)
 
     def test_momentum_accumulates(self):
-        p = Param("w", np.array([0.0]), decay=False)
+        p = Param("w", np.array([0.0]))
         state = SgdState(base_lr=1.0, momentum=0.5, weight_decay=0.0)
         p.grad[:] = 1.0
         sgd_step([p], state)  # v=1, p=-1
         sgd_step([p], state)  # v=1.5, p=-2.5
         assert_allclose(p.value, [-2.5], rtol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["conv", "dense"])
+    def test_weight_decay_reaches_every_parameter(self, kind):
+        # gains, shifts and biases decay like kernels and weights
+        cfg = NetworkConfig(depth=2, kind=kind, width=4, class_count=3,
+                            input_shape=(2, 3, 3), norm="batch")
+        net = build_network(cfg, SeededRng(16))
+        gen = SeededRng(17).generator()
+        for p in net.params():
+            p.value[...] = gen.normal(size=p.value.shape)
+            p.grad[...] = 0.0
+        before = [p.value.copy() for p in net.params()]
+        lr, wd = 0.1, 5e-4
+        assert sgd_step(net.params(), SgdState(base_lr=lr, momentum=0.0, weight_decay=wd))
+        kinds = {p.name.rsplit(".", 1)[1] for p in net.params()}
+        assert {"gamma", "beta", "bias"} <= kinds
+        for p, value in zip(net.params(), before):
+            assert_array_equal(p.value, value - lr * (wd * value), err_msg=p.name)
 
     def test_schedule(self):
         state = SgdState(base_lr=0.1, schedule=((0.5, 10.0), (0.75, 10.0)))
@@ -603,6 +621,15 @@ class TestBuildNetwork:
             )
         with pytest.raises(ConfigError):
             build_network(NetworkConfig(depth=2, kind="dense", residual=True), SeededRng(0))
+
+    @pytest.mark.parametrize("field", ["kind", "norm", "placement"])
+    def test_unknown_name_rejected(self, field):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            tiny_conv_config(**{field: "bogus"}).validate()
+
+    def test_unknown_init_scheme_rejected(self):
+        with pytest.raises(ValueError, match="'bogus'"):
+            InitScheme("bogus")
 
     def test_flat_roundtrip(self):
         net = build_network(tiny_conv_config(), SeededRng(3))
