@@ -7,22 +7,26 @@ statistics either fresh (gradients flow through them) or frozen
 (constants in backward). BatchNorm picks fresh statistics, the cached ones
 on stale batches, or the running averages in evaluation.
 
-Layers follow a plain forward/backward discipline: forward caches what
-backward needs on the layer instance, backward overwrites parameter
-gradients (no accumulation across calls). Nothing mutates its input
-arrays.
+Layers follow a plain forward/backward discipline: a training forward
+caches what backward needs on the layer instance, backward overwrites
+parameter gradients (no accumulation across calls). Nothing mutates its
+input arrays.
 
 After a training step a layer holds only what its backward reads: a
 convolution or dense layer its input (`last_in`) and output (`last_out`,
 for the depth profile; a residual block's second convolution with no norm
 after it feeds only the block sum, and drops it), a norm layer its
-NormCache (the input and the statistics; x-hat is recomputed from them on
-demand). The gradient that arrived at a weighted layer's output
-(`last_upstream`, read by `grad_summands` and the coherence and
-channel-gradient instruments) is kept only by a backward run with
-`keep_upstream=True` (`Network.loss_and_grad` and `Network.backward` pass
-it down), and only until the layer's next forward; reading it otherwise
-raises CacheMismatchError.
+NormCache (the input and the statistics; x-hat and the output are
+recomputed from them on demand), a ReLU its output (which the next layer
+holds as its input anyway; out > 0 exactly where x > 0). The gradient that
+arrived at a weighted layer's output (`last_upstream`, read by
+`grad_summands` and the coherence and channel-gradient instruments) is
+kept only by a backward run with `keep_upstream=True`
+(`Network.loss_and_grad` and `Network.backward` pass it down), and only
+until the layer's next training forward; reading it otherwise raises
+CacheMismatchError. An evaluation forward (train=False) returns its output
+and changes no layer state, so an accuracy pass between a training forward
+and its backward changes nothing, and holds no activations once it returns.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -163,6 +167,7 @@ class NormCache:
     fresh: bool  # statistics were computed from x (so gradients flow through them)
     components: BnComponents
     gamma: Array
+    beta: Array
     token: int = 0
 
     @property
@@ -174,6 +179,18 @@ class NormCache:
         if self.inv is not None:
             xhat *= self.inv
         return xhat.reshape(self.x.shape)
+
+    @property
+    def out(self) -> Array:
+        """norm_forward's output, recomputed from x-hat with its own
+        operations and so equal to it bit for bit -- until the next parameter
+        update, since gamma and beta are the live parameter arrays."""
+        out = self.xhat
+        if self.components.use_gamma:
+            out *= _per_channel(self.gamma, out.ndim)
+        if self.components.use_beta:
+            out += _per_channel(self.beta, out.ndim)
+        return out
 
 
 def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch",
@@ -207,7 +224,8 @@ def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch"
         mean, var = (np.reshape(s, shape) for s in stats)
         centered = xr - mean if components.use_mean else None
     # out is x-hat (as NormCache.xhat computes it), then scaled and shifted in
-    # place: it is this call's own array, and fewer fresh arrays are faster
+    # place (as NormCache.out does): it is this call's own array, and fewer
+    # fresh arrays are faster
     out = centered if components.use_mean else xr.copy()
     inv = None
     if components.use_var:
@@ -218,7 +236,8 @@ def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch"
         out *= _per_channel(gamma, x.ndim)
     if components.use_beta:
         out += _per_channel(beta, x.ndim)
-    cache = NormCache(x, mean, var, inv, axes, n, xr.shape, stats is None, components, gamma)
+    cache = NormCache(x, mean, var, inv, axes, n, xr.shape, stats is None, components, gamma,
+                      beta)
     return out, cache
 
 
@@ -318,6 +337,8 @@ class GeneralizedNorm(Layer):
         )
 
     def forward(self, x, train=True, update_stats=True):
+        if not train:
+            return self._normalize(x)[0]
         self._upstream = None
         out, self.cache = self._normalize(x)
         return out
@@ -361,13 +382,13 @@ class BatchNorm(GeneralizedNorm):
         self._serial = 0
 
     def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
-        self._upstream = None
         if not train:
             if not self.stats_initialized:
                 raise UninitializedStatsError(
                     f"{self.name}: no running statistics yet; run a training batch first"
                 )
             return self._normalize(x, (self.running_mean, self.running_var))[0]
+        self._upstream = None
         stale = self.batch_counter % self.period != 0 and self.cached_mean is not None
         stats = (self.cached_mean, self.cached_var) if stale else None
         out, cache = self._normalize(x, stats)
@@ -410,6 +431,8 @@ class Conv3x3(Layer):
         return [self.kernel]
 
     def forward(self, x, train=True, update_stats=True):
+        if not train:
+            return conv2d_forward(x, self.kernel.value)
         self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = conv2d_forward(self.last_in, self.kernel.value)
@@ -439,6 +462,8 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, train=True, update_stats=True):
+        if not train:
+            return as_tensor(x) @ self.weight.value + self.bias.value
         self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = self.last_in @ self.weight.value + self.bias.value
@@ -456,15 +481,22 @@ class Dense(Layer):
 
 
 class ReLU(Layer):
+    """max(x, 0). It keeps its output, which the next layer holds as its
+    input anyway: out > 0 exactly where x > 0 (for every float64, NaN and
+    the signed zeros and infinities included), so that mask is the
+    backward's."""
+
     def __init__(self):
-        self.last_in: Array | None = None
+        self.last_out: Array | None = None
 
     def forward(self, x, train=True, update_stats=True):
-        self.last_in = x
-        return np.maximum(x, 0.0)
+        if not train:
+            return np.maximum(x, 0.0)
+        self.last_out = np.maximum(x, 0.0)
+        return self.last_out
 
     def backward(self, dout, keep_upstream=False):
-        return dout * (self.last_in > 0)
+        return dout * (self.last_out > 0)
 
 
 class Flatten(Layer):
@@ -472,7 +504,8 @@ class Flatten(Layer):
         self.in_shape = None
 
     def forward(self, x, train=True, update_stats=True):
-        self.in_shape = x.shape
+        if train:
+            self.in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
     def backward(self, dout, keep_upstream=False):
@@ -484,7 +517,8 @@ class GlobalAvgPool(Layer):
         self.in_shape = None
 
     def forward(self, x, train=True, update_stats=True):
-        self.in_shape = x.shape
+        if train:
+            self.in_shape = x.shape
         return x.mean(axis=(2, 3))
 
     def backward(self, dout, keep_upstream=False):
@@ -531,9 +565,6 @@ class ResidualBlock(Layer):
         h = self.conv2.forward(h, train, update_stats)
         if self.norm2:
             h = self.norm2.forward(h, train, update_stats)
-        else:
-            # the branch output feeds only the sum below: no backward or tap reads it
-            self.conv2.last_out = None
         if self.c_out > self.c_in:
             b, _, hh, ww = x.shape
             shortcut = np.concatenate(
@@ -541,6 +572,11 @@ class ResidualBlock(Layer):
             )
         else:
             shortcut = x
+        if not train:
+            return h + shortcut
+        if not self.norm2:
+            # the branch output feeds only the sum: no backward or tap reads it
+            self.conv2.last_out = None
         self.last_sum = h + shortcut
         return self.last_sum
 
@@ -712,8 +748,11 @@ class Tap(NamedTuple):
     """One feature layer as the instruments see it.
 
     feed returns the tensor that feeds a convolution, read before the ReLU
-    in front of it (the network input for the first convolution, the raw
-    block sum for one fed by a residual trunk); None for dense layers.
+    in front of it: the output of the layer in front of that ReLU (a
+    convolution's last_out, or a norm's output rebuilt from its cache by
+    NormCache.out, which holds until the next parameter update), the network
+    input for the first convolution, or the raw block sum for one fed by a
+    residual trunk; None for dense layers.
     profiled says whether the depth profile reads layer.last_out: the tensor
     feeding a normalizer or a ReLU. Only the second convolution of an
     unnormalized residual block, which feeds just the shortcut sum, is out
@@ -771,7 +810,9 @@ class Network:
         return loss
 
     def accuracy(self, x, labels, batch: int = 512) -> float:
-        """Evaluation-mode accuracy, in chunks of batch examples."""
+        """Evaluation-mode accuracy, in chunks of batch examples. An
+        evaluation forward changes no layer state: the caches of the last
+        training forward stay, and no chunk's activations outlive it."""
         hits = 0
         for i in range(0, x.shape[0], batch):
             logits = self.forward(x[i : i + batch], train=False)
@@ -840,6 +881,10 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         def reader(obj, attr="last_in"):
             return lambda: getattr(obj, attr)
 
+        def pre_relu(conv, norm):
+            # what the ReLU behind conv [- norm] received; it keeps only its output
+            return (lambda: norm.cache.out) if norm else reader(conv, "last_out")
+
         # a residual net of odd depth starts with one plain stem layer
         plain = config.depth % 2 if config.residual else config.depth
         for d in range(plain):
@@ -848,7 +893,7 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
             relu = ReLU()
             n = norm_factory(w, f"norm{d}")
             layers += [conv, n, relu] if n else [conv, relu]
-            feed = reader(relu)
+            feed = pre_relu(conv, n)
             c_prev = w
         for bi in range((config.depth - plain) // 2):
             block = ResidualBlock(
@@ -856,7 +901,8 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
             )
             conv1, conv2 = block.conv1, block.conv2
             taps.append(Tap(conv1.name, conv1, feed or reader(conv1), True))
-            taps.append(Tap(conv2.name, conv2, reader(block.relu1), block.norm2 is not None))
+            taps.append(Tap(conv2.name, conv2, pre_relu(conv1, block.norm1),
+                            block.norm2 is not None))
             layers.append(block)
             feed = reader(block, "last_sum")
             c_prev = w

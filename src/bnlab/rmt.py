@@ -69,23 +69,25 @@ def _bisect_phi(m: int, x: np.ndarray) -> np.ndarray:
 
     Bisection of [1e-12, 1 - 1e-14] * pi/(m+1) until no midpoint lies strictly
     between its bracket's ends; an element stops moving once its own bracket
-    has, so each result is the same whatever else the array holds. x beyond
-    the bracket's images gets the bracket's end.
+    has, and drops out of the halvings, so each result is the same whatever
+    else the array holds. x beyond the bracket's images gets the bracket's end.
     """
     top = _phi_limit(m)
     ends = np.array([top * 1e-12, top * (1.0 - 1e-14)])
     x_ends = _x(m, ends)
-    lo = np.full(x.shape, ends[0])
-    hi = np.full(x.shape, ends[1])
-    while True:
+    phi = np.full(x.shape, ends[0])
+    # the still-moving elements: their indices, brackets and targets
+    at, lo, hi, target = np.arange(x.size), phi.copy(), np.full(x.shape, ends[1]), x
+    while at.size:
         mid = 0.5 * (lo + hi)
         moving = (lo < mid) & (mid < hi)
-        if not moving.any():
-            break
-        up = _x(m, mid) > x  # x(phi) decreases, so the root lies above mid
-        lo = np.where(moving & up, mid, lo)
-        hi = np.where(moving & ~up, mid, hi)
-    return np.where(x >= x_ends[0], ends[0], np.where(x <= x_ends[1], ends[1], lo))
+        if not moving.all():
+            phi[at] = lo
+            at, lo, hi, target, mid = (a[moving] for a in (at, lo, hi, target, mid))
+        up = _x(m, mid) > target  # x(phi) decreases, so the root lies above mid
+        lo = np.where(up, mid, lo)
+        hi = np.where(up, hi, mid)
+    return np.where(x >= x_ends[0], ends[0], np.where(x <= x_ends[1], ends[1], phi))
 
 
 def phi_of_x(m: int, x):

@@ -24,11 +24,13 @@ from bnlab.nn import (
     BatchNorm,
     Conv3x3,
     Dense,
+    GeneralizedNorm,
     NetworkConfig,
     ReLU,
     ResidualBlock,
     SgdState,
     build_network,
+    norm_forward,
     sgd_step,
     softmax_xent,
 )
@@ -405,22 +407,40 @@ class TestInstrumentsAreReadOnly:
                 assert la.running_var.tobytes() == lb.running_var.tobytes()
 
 
+def _norm_output(norm):
+    """A norm layer's output in the last training pass (None before one),
+    worked out anew from its cached input (the statistics are fresh in these
+    nets, so norm_forward recomputes them)."""
+    if norm.cache is None:
+        return None
+    return norm_forward(
+        norm.cache.x, norm.gamma.value, norm.beta.value, grouping=norm.grouping,
+        groups=norm.groups, components=norm.components, eps=norm.eps,
+    )[0]
+
+
 def _feature_layers(net):
     """Every feature conv / dense layer by name, and the tensor feeding each
     conv, read off the layer stack after a pass: the network input for the
-    first conv, then the input of the latest ReLU, or a block's sum."""
-    layers, feeds, trunk = {}, {}, None
+    first conv, then the input of the latest ReLU, or a block's sum. A ReLU
+    keeps only its output, so its input is worked out here: the output of
+    the norm or the conv in front of it."""
+    layers, feeds, trunk, pre_relu = {}, {}, None, None
     for layer in net.layers:
         if isinstance(layer, ResidualBlock):
             layers[layer.conv1.name], layers[layer.conv2.name] = layer.conv1, layer.conv2
             feeds[layer.conv1.name] = layer.conv1.last_in if trunk is None else trunk
-            feeds[layer.conv2.name] = layer.relu1.last_in
+            norm1 = layer.norm1
+            feeds[layer.conv2.name] = _norm_output(norm1) if norm1 else layer.conv1.last_out
             trunk = layer.last_sum
         elif isinstance(layer, Conv3x3):
             layers[layer.name] = layer
             feeds[layer.name] = layer.last_in if trunk is None else trunk
+            pre_relu = layer.last_out
+        elif isinstance(layer, GeneralizedNorm):
+            pre_relu = _norm_output(layer)
         elif isinstance(layer, ReLU):
-            trunk = layer.last_in
+            trunk = pre_relu
         elif isinstance(layer, Dense) and layer.name != "head":
             layers[layer.name] = layer
     return layers, feeds

@@ -28,6 +28,7 @@ from bnlab.nn import (
     Network,
     NetworkConfig,
     Param,
+    ReLU,
     ResidualBlock,
     SgdState,
     build_network,
@@ -360,6 +361,25 @@ class TestRecomputedXhat:
             assert_array_equal(dgamma.view(np.int64), want.view(np.int64))
 
 
+class TestRecomputedOutput:
+    @pytest.mark.parametrize("stats", ["fresh", "stale"])
+    @pytest.mark.parametrize("flat", [False, True], ids=["4d", "2d"])
+    @pytest.mark.parametrize("comp", list(itertools.product([False, True], repeat=4)),
+                             ids=[f"comp{k}" for k in range(16)])
+    def test_property_matches_the_forwards_output_bitwise(self, comp, flat, stats):
+        layer = make_bn(3, components=BnComponents(*comp), period=2)
+        gen = SeededRng(62).generator()
+        layer.gamma.value[:] = gen.uniform(0.5, 1.5, size=3)
+        layer.beta.value[:] = gen.normal(size=3)
+        shape = (5, 3) if flat else (5, 3, 2, 2)
+        x = gen.normal(1.0, 2.0, size=shape)
+        if stats == "stale":
+            layer.forward(gen.normal(size=shape))  # period 2: the next batch is stale
+        out = layer.forward(x)
+        assert layer.cache.fresh is (stats == "fresh")
+        assert_array_equal(layer.cache.out.view(np.int64), out.view(np.int64))
+
+
 class TestGeneralizedNorm:
     def shapes(self):
         gen = SeededRng(11).generator()
@@ -456,6 +476,18 @@ class TestGeneralizedNorm:
         out = layer.forward(x)
         dx = layer.backward(np.ones_like(out))
         assert dx.shape == x.shape
+
+
+class TestReLU:
+    def test_backward_masks_on_the_output_as_on_the_input(self):
+        # out > 0 exactly where x > 0: NaN, signed zeros and infinities included
+        specials = [np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.0, -1.0]
+        x = np.array(specials + list(SeededRng(63).generator().normal(size=6)))
+        relu = ReLU()
+        out = relu.forward(x)
+        up = np.arange(1.0, x.size + 1)
+        assert_array_equal(relu.backward(up).view(np.int64), (up * (x > 0)).view(np.int64))
+        assert relu.last_out is out
 
 
 class TestSoftmaxXent:
@@ -708,6 +740,51 @@ class TestBuildNetwork:
         self._fd_check_network(net, x, y)
 
 
+class TestEvalChangesNothing:
+    NETS = [
+        dict(width=4),
+        dict(depth=3, residual=True, width=4, norm="none"),
+        dict(kind="dense", input_shape=(2, 3, 3)),
+        dict(norm="group", width=4, groups=2),
+    ]
+    IDS = ["conv-bn", "residual-none", "dense-bn", "group"]
+    CACHES = ("last_in", "last_out", "last_sum", "in_shape", "cache", "_upstream")
+
+    @classmethod
+    def _caches(cls, net):
+        nested = [[l, l.conv1, l.norm1, l.relu1, l.conv2, l.norm2]
+                  if isinstance(l, ResidualBlock) else [l] for l in net.layers]
+        layers = [l for ls in nested for l in ls if l]
+        return [getattr(l, a) for l in layers for a in cls.CACHES if hasattr(l, a)]
+
+    @staticmethod
+    def _assert_same_objects(got, want):
+        assert len(got) == len(want)
+        assert all(g is w for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("overrides", NETS, ids=IDS)
+    def test_accuracy_between_forward_and_backward_changes_nothing(self, overrides):
+        cfg = tiny_conv_config(**overrides)
+        gen = SeededRng(71).generator()
+        x, y = gen.normal(size=(6,) + cfg.input_shape), gen.integers(0, 2, size=6)
+        x_eval, y_eval = gen.normal(size=(5,) + cfg.input_shape), gen.integers(0, 2, size=5)
+        grads = []
+        for interleave in (False, True):
+            net = build_network(cfg, SeededRng(70))
+            logits = net.forward(x)
+            forward_caches = self._caches(net)
+            if interleave:
+                net.accuracy(x_eval, y_eval, batch=2)
+                self._assert_same_objects(self._caches(net), forward_caches)
+            net.backward(softmax_xent(logits, y)[1], keep_upstream=True)
+            backward_caches = self._caches(net)
+            if interleave:  # kept upstream gradients outlive an evaluation pass too
+                net.accuracy(x_eval, y_eval, batch=2)
+                self._assert_same_objects(self._caches(net), backward_caches)
+            grads.append(net.flat_grads())
+        assert_array_equal(grads[1].view(np.int64), grads[0].view(np.int64))
+
+
 def _weighted_layers(net):
     nested = [l._weighted() if isinstance(l, ResidualBlock) else [l] for l in net.layers]
     return [l for ls in nested for l in ls if isinstance(l, (Conv3x3, Dense, GeneralizedNorm))]
@@ -762,6 +839,35 @@ class TestUpstreamOnRequest:
         # input) and the block sum; conv2's output, which nothing reads, is gone
         act = 64 * 12 * 8 * 8 * 8
         assert 30 * act <= held < 31 * act
+
+    def test_bn_twin_holds_four_activations_per_block_and_eval_adds_none(self):
+        # the depth-20 BN twin at criterion-07 shapes (b = 64, c = 12, 8x8)
+        cfg = NetworkConfig(depth=20, kind="conv", width=12, class_count=10,
+                            input_shape=(3, 8, 8), norm="batch", residual=True)
+        gen = SeededRng(8).generator()
+        x, y = gen.normal(size=(64, 3, 8, 8)), gen.integers(0, 10, size=64)
+        x_eval, y_eval = gen.normal(size=(320, 3, 8, 8)), gen.integers(0, 10, size=320)
+        build_network(cfg, SeededRng(1)).loss_and_grad(x, y)  # sizes the conv scratch
+        net = build_network(cfg, SeededRng(0).child(100))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            net.loss_and_grad(x, y)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            net.accuracy(x_eval, y_eval, 64)
+            after, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        # per block conv1's output (norm1's input), the ReLU's output (conv2's
+        # input), conv2's output (norm2's input) and the block sum; the norms'
+        # outputs and the ReLU's input are rebuilt or masked from these
+        act = 64 * 12 * 8 * 8 * 8
+        assert 40 * act <= held < 41 * act
+        # the accuracy pass leaves no activation behind (numpy's small
+        # bookkeeping aside), and at most one chunk's few are live at once
+        assert abs(after - held) < act / 10
+        assert peak < 44 * act
 
     @pytest.mark.parametrize("overrides", NETS, ids=IDS)
     def test_kept_upstream_lasts_until_the_next_forward(self, overrides):
