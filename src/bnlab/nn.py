@@ -18,7 +18,12 @@ for the depth profile; a residual block's second convolution with no norm
 after it feeds only the block sum, and drops it), a norm layer its
 NormCache (the input and the statistics; x-hat and the output are
 recomputed from them on demand), a ReLU its output (which the next layer
-holds as its input anyway; out > 0 exactly where x > 0). The gradient that
+holds as its input anyway; out > 0 exactly where x > 0). Inside a residual
+block neither the ReLU nor the second convolution keeps the ReLU's output:
+the block's backward rebuilds it, bit for bit, from the first norm's cache
+or the first convolution's output, and drops it again unless the upstream
+is kept. So a block holds the first convolution's output, the block sum
+and, with norms, the second convolution's output. The gradient that
 arrived at a weighted layer's output (`last_upstream`, read by
 `grad_summands` and the coherence and channel-gradient instruments) is
 kept only by a backward run with `keep_upstream=True`
@@ -111,9 +116,28 @@ class Layer:
 # normalization
 
 
-def _per_channel(v: Array, ndim: int) -> Array:
-    """Reshape a length-c vector so it broadcasts over the channel axis."""
-    return v.reshape((1, -1) + (1,) * (ndim - 2))
+def _gain(v: Array, region_shape: tuple[int, ...], ndim: int) -> Array:
+    """Reshape a length-c vector so it broadcasts over the channel axes of a
+    region view of an ndim-d input (a group view splits c into two axes)."""
+    lead = len(region_shape) - ndim + 1
+    return v.reshape((1,) + tuple(region_shape[1 : 1 + lead]) + (1,) * (ndim - 2))
+
+
+def _fold(inv: Array | None, gain: Array | None) -> Array | None:
+    """The one factor that scales x - mean: inv * gain, either one, or None."""
+    if inv is None or gain is None:
+        return gain if inv is None else inv
+    return inv * gain
+
+
+def _region_sum(a: Array, axes: tuple[int, ...], b: Array | None = None) -> Array:
+    """The sum of a (or of a * b) over axes, which are kept as length 1: one
+    einsum pass, which forms no product array."""
+    idx = "abcde"[: a.ndim]
+    keep = "".join(idx[i] for i in range(a.ndim) if i not in axes)
+    operands = (a,) if b is None else (a, b)
+    total = np.einsum(",".join([idx] * len(operands)) + "->" + keep, *operands)
+    return total.reshape(tuple(1 if i in axes else s for i, s in enumerate(a.shape)))
 
 
 @dataclass(frozen=True)
@@ -170,27 +194,44 @@ class NormCache:
     beta: Array
     token: int = 0
 
+    def gain(self) -> Array | None:
+        """gamma in the region layout, or None when the gain is off."""
+        if not self.components.use_gamma:
+            return None
+        return _gain(self.gamma, self.region_shape, self.x.ndim)
+
+    def _normalized(self, scale: Array | None, shift: Array | None,
+                    centered: Array | None = None) -> Array:
+        """(x - mean) * scale + shift in input shape, each step only where
+        its component is on: norm_forward's operations, in its order. A
+        given centered (x - mean, region layout) is used up in place."""
+        if centered is None:
+            xr = self.x.reshape(self.region_shape)
+            centered = xr - self.mean if self.components.use_mean else xr.copy()
+        if scale is not None:
+            centered *= scale
+        if shift is not None:
+            centered += shift
+        return centered.reshape(self.x.shape)
+
+    def _output(self, centered: Array | None = None) -> Array:
+        shift = None
+        if self.components.use_beta:
+            shift = _gain(self.beta, self.region_shape, self.x.ndim)
+        return self._normalized(_fold(self.inv, self.gain()), shift, centered)
+
     @property
     def xhat(self) -> Array:
-        """The normalized input, in input shape, recomputed with norm_forward's
-        own operations and so equal to its x-hat bit for bit."""
-        xr = self.x.reshape(self.region_shape)
-        xhat = xr - self.mean if self.components.use_mean else xr.copy()
-        if self.inv is not None:
-            xhat *= self.inv
-        return xhat.reshape(self.x.shape)
+        """The normalized input (x - mean) * inv, in input shape: with gain
+        1 and shift 0, norm_forward's output bit for bit."""
+        return self._normalized(self.inv, None)
 
     @property
     def out(self) -> Array:
-        """norm_forward's output, recomputed from x-hat with its own
-        operations and so equal to it bit for bit -- until the next parameter
-        update, since gamma and beta are the live parameter arrays."""
-        out = self.xhat
-        if self.components.use_gamma:
-            out *= _per_channel(self.gamma, out.ndim)
-        if self.components.use_beta:
-            out += _per_channel(self.beta, out.ndim)
-        return out
+        """norm_forward's output, recomputed with its own operations and so
+        equal to it bit for bit -- until the next parameter update, since
+        gamma and beta are the live parameter arrays."""
+        return self._output()
 
 
 def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch",
@@ -208,47 +249,45 @@ def norm_forward(x: Array, gamma: Array, beta: Array, *, grouping: str = "batch"
     x and gradients flow through them; given (mean, var), one entry per
     region (per channel for "batch"), they are frozen: constants in
     norm_backward, and a region may then hold a single element.
+
+    The output is (x - mean) * (gamma * inv) + beta, inv = 1/sqrt(var + eps):
+    the gain folded into the inverse deviation, so one product scales x.
     """
     x = as_tensor(x)
     xr, axes, n = _region_view(x, grouping, groups)
+    centered = None
     if stats is None:
         if n < 2:
             raise DegenerateBatchError(
                 f"{grouping} normalization region has {n} element(s); need >= 2"
             )
-        mean = xr.mean(axis=axes, keepdims=True)
+        mean = _region_sum(xr, axes) / n
         centered = xr - mean
-        var = np.mean(centered * centered, axis=axes, keepdims=True)
+        var = _region_sum(centered, axes, centered) / n
+        if not components.use_mean:
+            centered = None
     else:
         shape = tuple(1 if a in axes else s for a, s in enumerate(xr.shape))
         mean, var = (np.reshape(s, shape) for s in stats)
-        centered = xr - mean if components.use_mean else None
-    # out is x-hat (as NormCache.xhat computes it), then scaled and shifted in
-    # place (as NormCache.out does): it is this call's own array, and fewer
-    # fresh arrays are faster
-    out = centered if components.use_mean else xr.copy()
-    inv = None
-    if components.use_var:
-        inv = 1.0 / np.sqrt(var + eps)
-        out *= inv
-    out = out.reshape(x.shape)
-    if components.use_gamma:
-        out *= _per_channel(gamma, x.ndim)
-    if components.use_beta:
-        out += _per_channel(beta, x.ndim)
+    inv = 1.0 / np.sqrt(var + eps) if components.use_var else None
     cache = NormCache(x, mean, var, inv, axes, n, xr.shape, stats is None, components, gamma,
                       beta)
-    return out, cache
+    return cache._output(centered), cache
 
 
 def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, Array]:
     """Gradients through norm_forward: (grad_input, grad_gamma, grad_beta).
 
-    One chain, each step guarded by its component: through the gain; with
-    fresh statistics and the variance division, minus the variance term;
-    through 1/std; with fresh statistics and mean subtraction, minus the
-    region mean. Frozen statistics are constants. Toggled-off components
-    contribute no gradient: grad_gamma / grad_beta are zero when theirs is off.
+    One closed form, each term guarded by its component, with sums and
+    means over each region:
+
+        dx = gain * inv * (d - mean(d) - (x - mean) * inv * mean(d * xhat))
+
+    d is dout (times gamma when the gain varies within a region; gain is
+    then 1). The mean(d) term needs fresh statistics and mean subtraction,
+    the mean(d * xhat) term fresh statistics and the variance division:
+    frozen statistics are constants. Toggled-off components contribute no
+    gradient: grad_gamma / grad_beta are zero when theirs is off.
     """
     if cache is None:
         raise CacheMismatchError("no forward cache available")
@@ -258,36 +297,39 @@ def norm_backward(dout: Array, cache: NormCache | None) -> tuple[Array, Array, A
             f"upstream shape {dout.shape} does not match input {cache.x.shape}"
         )
     comp = cache.components
-    ndim = cache.x.ndim
-    affine_axes = (0,) + tuple(range(2, ndim))
+    c = cache.x.shape[1]
+    affine_axes = (0,) + tuple(range(2, cache.x.ndim))
     axes, n, inv = cache.axes, cache.n, cache.inv
     fresh_var = cache.fresh and comp.use_var
-    if fresh_var:
-        # var is taken about the mean even when the mean is not subtracted
-        xr = cache.x.reshape(cache.region_shape)
-        centered = xr - cache.mean
-        xu = centered if comp.use_mean else xr
-    dgamma = np.zeros(cache.x.shape[1])
-    dbeta = np.zeros(cache.x.shape[1])
-    if comp.use_beta:
-        dbeta = dout.sum(axis=affine_axes)
-    if comp.use_gamma:
-        # x-hat is xu * inv here, the product norm_forward formed
-        xhat = (xu * inv).reshape(cache.x.shape) if fresh_var else cache.xhat
-        dgamma = (dout * xhat).sum(axis=affine_axes)
-        del xhat
-    # dx is this call's own array, so each step updates it in place (as in norm_forward)
-    dx = dout * _per_channel(cache.gamma, ndim) if comp.use_gamma else dout.copy()
-    dx = dx.reshape(cache.region_shape)
+    xhat = cache.xhat if comp.use_gamma or fresh_var else None
+    dbeta = _region_sum(dout, affine_axes).reshape(c) if comp.use_beta else None
+    dgamma = (dout * xhat).sum(axis=affine_axes) if comp.use_gamma else None
 
+    d = dout.reshape(cache.region_shape)
+    gain = cache.gain()
+    if gain is not None and any(gain.shape[a] > 1 for a in axes):
+        d, gain = d * gain, None
+    scale = _fold(inv, gain)
+    # batch regions are the affine sums' regions, and d is dout there
+    batch = axes == affine_axes
+
+    def times_scale(k):  # k / n, times the scale: one entry per region
+        k = k.reshape(cache.mean.shape) / n
+        return k if scale is None else k * scale
+
+    dx = d * scale if scale is not None else d.copy()
     if fresh_var:
-        proj = (dx * xu).sum(axis=axes, keepdims=True)
-        dx -= proj * (inv * inv / n) * centered
-    if comp.use_var:
-        dx *= inv
+        xhat_r = xhat.reshape(cache.region_shape)
+        proj = dgamma if batch and dgamma is not None else _region_sum(d, axes, xhat_r)
+        # the variance is taken about the mean even where the mean is not subtracted
+        term = (xhat_r if comp.use_mean
+                else (cache.x.reshape(cache.region_shape) - cache.mean) * inv)
+        term *= times_scale(proj)
+        dx -= term
     if cache.fresh and comp.use_mean:
-        dx -= dx.mean(axis=axes, keepdims=True)
-    return dx.reshape(cache.x.shape), dgamma, dbeta
+        dx -= times_scale(dbeta if batch and dbeta is not None else _region_sum(d, axes))
+    return (dx.reshape(cache.x.shape), np.zeros(c) if dgamma is None else dgamma,
+            np.zeros(c) if dbeta is None else dbeta)
 
 
 class GeneralizedNorm(Layer):
@@ -360,8 +402,10 @@ class BatchNorm(GeneralizedNorm):
     alone. With period = k > 1, fresh batch statistics are computed only on
     every k-th training batch and the cached ones are reused, frozen, in
     between; running averages are updated only on refresh batches. A
-    training forward with update_stats=False changes no state (no running
-    average, cache refresh or counter bump) -- used by read-only instruments.
+    training forward with update_stats=False changes no statistics (no
+    running average, cached statistics or batch counter) -- used by
+    read-only instruments; like every training forward it does replace the
+    layer's cache, which the next backward reads.
     """
 
     def __init__(self, channels: int, eps: float = 1e-5, rho: float = 0.9,
@@ -484,7 +528,8 @@ class ReLU(Layer):
     """max(x, 0). It keeps its output, which the next layer holds as its
     input anyway: out > 0 exactly where x > 0 (for every float64, NaN and
     the signed zeros and infinities included), so that mask is the
-    backward's."""
+    backward's. A residual block clears it after its forward and sets it
+    again for the backward (ResidualBlock._relu_output)."""
 
     def __init__(self):
         self.last_out: Array | None = None
@@ -574,18 +619,32 @@ class ResidualBlock(Layer):
             shortcut = x
         if not train:
             return h + shortcut
+        # the backward rebuilds the ReLU's output (_relu_output)
+        self.relu1.last_out = self.conv2.last_in = None
         if not self.norm2:
             # the branch output feeds only the sum: no backward or tap reads it
             self.conv2.last_out = None
         self.last_sum = h + shortcut
         return self.last_sum
 
+    def _relu_output(self) -> Array:
+        """The inner ReLU's output, rebuilt bit for bit from what it
+        received: the first norm's output rebuilt from its cache (so before
+        the next parameter update), or the first convolution's."""
+        pre = self.norm1.cache.out if self.norm1 else self.conv1.last_out
+        return np.maximum(pre, 0.0)
+
     def backward(self, dout, keep_upstream=False):
         dh = dout
         if self.norm2:
             dh = self.norm2.backward(dh, keep_upstream)
+        self.conv2.last_in = self.relu1.last_out = self._relu_output()
         dh = self.conv2.backward(dh, keep_upstream)
         dh = self.relu1.backward(dh)
+        # with its upstream kept, conv2 keeps its input for grad_summands
+        self.relu1.last_out = None
+        if not keep_upstream:
+            self.conv2.last_in = None
         if self.norm1:
             dh = self.norm1.backward(dh, keep_upstream)
         dx = self.conv1.backward(dh, keep_upstream)
@@ -804,7 +863,9 @@ class Network:
         return loss, logits
 
     def loss_only(self, x, labels) -> float:
-        """Training-mode loss, without a backward pass or any state change."""
+        """Training-mode loss, without a backward pass or a statistics
+        update. Its training forward still replaces every layer's caches and
+        drops any kept upstream, so a backward after it reads this forward."""
         logits = self.forward(x, train=True, update_stats=False)
         loss, _ = softmax_xent(logits, labels)
         return loss

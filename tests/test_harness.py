@@ -515,6 +515,23 @@ class TestRunExperiment:
         for _, _, mean, std, kurtosis, tail, max_abs in rows:
             assert std > 0 and max_abs > 0 and np.isfinite(kurtosis)
 
+    def test_mean_grad_table_on_a_residual_bn_net(self):
+        cfg = parse_config(SMALL_RUN.replace("network.depth = 2", "network.depth = 3")
+                           + "network.residual = true\ndiagnostics.mean_grad = 3\n")
+        columns, rows = run_experiment(cfg).legs[0].tables["mean_grad"]
+        assert columns == ("step", "layer", "in_channel", "out_channel", "input_mean",
+                           "grad_mag")
+        # a stem convolution (3 -> 6) and one block's two (6 -> 6): sum c_in * c_out
+        # rows at init and after steps 3 and 6
+        per_firing = 3 * 6 + 6 * 6 + 6 * 6
+        assert [r[0] for r in rows] == [0] * per_firing + [3] * per_firing + [6] * per_firing
+        assert {r[1] for r in rows} == {"conv0", "block0.conv1", "block0.conv2"}
+        assert all(np.isfinite(r[4]) and np.isfinite(r[5]) and r[5] >= 0 for r in rows)
+        # block0.conv2 reads norm1's output rebuilt from its cache: at init (beta 0)
+        # each channel's batch mean is 0 up to rounding
+        fed = [r[4] for r in rows if r[0] == 0 and r[1] == "block0.conv2"]
+        assert len(fed) == 36 and max(abs(m) for m in fed) < 1e-12
+
     def test_histogram_rows_do_not_depend_on_other_instruments(self):
         alone = parse_config(SMALL_RUN + "diagnostics.histogram = 2\n")
         crowded = parse_config(SMALL_RUN + "diagnostics.histogram = 2\n"
