@@ -116,7 +116,7 @@ class Layer:
 # normalization
 
 
-def _gain(v: Array, region_shape: tuple[int, ...], ndim: int) -> Array:
+def _per_channel(v: Array, region_shape: tuple[int, ...], ndim: int) -> Array:
     """Reshape a length-c vector so it broadcasts over the channel axes of a
     region view of an ndim-d input (a group view splits c into two axes)."""
     lead = len(region_shape) - ndim + 1
@@ -198,7 +198,7 @@ class NormCache:
         """gamma in the region layout, or None when the gain is off."""
         if not self.components.use_gamma:
             return None
-        return _gain(self.gamma, self.region_shape, self.x.ndim)
+        return _per_channel(self.gamma, self.region_shape, self.x.ndim)
 
     def _normalized(self, scale: Array | None, shift: Array | None,
                     centered: Array | None = None) -> Array:
@@ -217,7 +217,7 @@ class NormCache:
     def _output(self, centered: Array | None = None) -> Array:
         shift = None
         if self.components.use_beta:
-            shift = _gain(self.beta, self.region_shape, self.x.ndim)
+            shift = _per_channel(self.beta, self.region_shape, self.x.ndim)
         return self._normalized(_fold(self.inv, self.gain()), shift, centered)
 
     @property

@@ -175,7 +175,6 @@ class TestBnEval:
         assert not layer.stats_initialized
         assert layer.batch_counter == 0
 
-
     def test_non_updating_forward_replaces_only_the_cache(self):
         layer = make_bn(2, period=2)
         gen = SeededRng(18).generator()
@@ -564,16 +563,16 @@ class TestGeneralizedNorm:
         gamma, beta = np.ones(4), np.zeros(4)
         with pytest.raises(GroupingError):
             norm_forward(x, gamma, beta, grouping="group", groups=3)
+        for groups in (None, 0):
+            with pytest.raises(GroupingError, match="group count"):
+                norm_forward(x, gamma, beta, grouping="group", groups=groups)
         with pytest.raises(GroupingError):
             norm_forward(np.zeros((4, 6)), np.ones(6), np.zeros(6), grouping="instance")
         with pytest.raises(GroupingError):
             norm_forward(x, gamma, beta, grouping="banana")
 
-    def test_region_errors(self):
+    def test_input_rank_errors(self):
         x, gamma, beta = self.shapes()
-        for groups in (None, 0):
-            with pytest.raises(GroupingError, match="group count"):
-                norm_forward(x, gamma, beta, grouping="group", groups=groups)
         for shape in ((2, 4, 3), (2, 4, 3, 3, 1)):
             with pytest.raises(DimensionError, match="2-d or 4-d"):
                 norm_forward(np.zeros(shape), gamma, beta)
