@@ -147,8 +147,8 @@ class DivergenceEvent:
     """A parameter update that blew the minibatch loss past the threshold.
 
     profiles[i] holds the activation-moment profile at
-    theta_pre + fractions[i] * (theta_post - theta_pre), measured on the very
-    batch whose update diverged.
+    theta_pre + fractions[i] * (theta_post - theta_pre) (theta_pre itself at
+    fraction 0), measured on the very batch whose update diverged.
     """
 
     step: int
@@ -182,7 +182,8 @@ class DivergenceMonitor:
         delta = post_params - pre_params
         profiles = []
         for f in CAPTURE_FRACTIONS:
-            self.net.set_flat_params(pre_params + f * delta)
+            # f = 0 is pre_params itself: 0 * delta is NaN where the update overflowed
+            self.net.set_flat_params(pre_params + f * delta if f else pre_params)
             profiles.append(depth_moment_profile(self.net, x))
         self.net.set_flat_params(post_params)
         return DivergenceEvent(
@@ -260,6 +261,21 @@ def _conv_taps(net: Network) -> list[Tap]:
     return [t for t in net.taps if isinstance(t.layer, Conv3x3)]
 
 
+def _reduce_conv_upstreams(net: Network, x: Array, labels: Array, reduce) -> list[tuple]:
+    """(tap, reduce(upstream, input)) per convolution, in depth order, from
+    one forward/backward that leaves normalization state untouched; each
+    upstream is reduced as the backward hands it over (visit)."""
+    taps = _conv_taps(net)
+    results = {t.layer: None for t in taps}
+
+    def visit(layer, upstream):
+        if layer in results:
+            results[layer] = reduce(upstream, layer.last_in)
+
+    net.loss_and_grad(x, labels, update_stats=False, visit=visit)
+    return [(t, results[t.layer]) for t in taps]
+
+
 def _saturated_ratio(a: float, b: float) -> float:
     if a == 0.0:
         return 1.0
@@ -271,14 +287,12 @@ def _saturated_ratio(a: float, b: float) -> float:
 def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     """Per-convolution summand-cancellation rows on one batch.
 
-    Runs one forward/backward (without touching normalization state) that
-    keeps the upstream gradients, and reduces each convolution's
-    kernel-gradient summands.
+    Runs one forward/backward (without touching normalization state) and
+    reduces each convolution's kernel-gradient summands as its upstream
+    arrives.
     """
-    net.loss_and_grad(x, labels, update_stats=False, keep_upstream=True)
     rows = []
-    for t in _conv_taps(net):
-        s = conv2d_summand_stats(t.layer.last_upstream, t.layer.last_in)
+    for t, s in _reduce_conv_upstreams(net, x, labels, conv2d_summand_stats):
         a = float(s.abs_sum.mean())
         b = float(np.abs(s.total).mean())
         rows.append(
@@ -414,13 +428,9 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
     convolution output is the upstream gradient summed over batch and
     positions; its magnitude is reported per channel.
     """
-    net.loss_and_grad(x, labels, update_stats=False, keep_upstream=True)
-    rows = []
-    for t in _conv_taps(net):
-        sums = t.layer.last_upstream.sum(axis=(0, 2, 3))
-        for c, v in enumerate(sums):
-            rows.append(ChannelGradient(layer=t.label, channel=c, value=float(abs(v))))
-    return rows
+    sums = _reduce_conv_upstreams(net, x, labels, lambda up, _: up.sum(axis=(0, 2, 3)))
+    return [ChannelGradient(layer=t.label, channel=c, value=float(abs(v)))
+            for t, s in sums for c, v in enumerate(s)]
 
 
 # ---------------------------------------------------------------------------

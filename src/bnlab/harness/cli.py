@@ -5,7 +5,7 @@ noise-bound, init-moments, coherence, class-heatmap. Each takes --config
 (path to a key = value config file) and --out (artifact directory,
 defaulting to the config's out.dir); --seed overrides the config's seed.
 Exit codes: 0 success (a recorded divergence is a success), 1 config error,
-2 runtime or I/O error.
+2 runtime, I/O or out-of-memory error.
 """
 from __future__ import annotations
 
@@ -209,6 +209,9 @@ def main(argv=None) -> int:
         return 2
     except (BnlabError, OSError) as exc:  # raised after the config parsed
         print(f"run error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # an allocation the machine cannot serve
+        print(f"run error: out of memory: {exc}".rstrip(": "), file=sys.stderr)
         return 2
 
 

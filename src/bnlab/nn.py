@@ -21,17 +21,18 @@ recomputed from them on demand), a ReLU its output (which the next layer
 holds as its input anyway; out > 0 exactly where x > 0). Inside a residual
 block neither the ReLU nor the second convolution keeps the ReLU's output:
 the block's backward rebuilds it, bit for bit, from the first norm's cache
-or the first convolution's output, and drops it again unless the upstream
-is kept. So a block holds the first convolution's output, the block sum
-and, with norms, the second convolution's output. The gradient that
-arrived at a weighted layer's output (`last_upstream`, read by
-`grad_summands` and the coherence and channel-gradient instruments) is
-kept only by a backward run with `keep_upstream=True`
-(`Network.loss_and_grad` and `Network.backward` pass it down), and only
-until the layer's next training forward; reading it otherwise raises
-CacheMismatchError. An evaluation forward (train=False) returns its output
-and changes no layer state, so an accuracy pass between a training forward
-and its backward changes nothing, and holds no activations once it returns.
+or the first convolution's output, and drops it again after the second
+convolution's backward. So a block holds the first convolution's output,
+the block sum and, with norms, the second convolution's output. No layer
+keeps the gradient at its output (its upstream): a backward given `visit`
+calls visit(layer, upstream) once per weighted layer (convolution, dense,
+norm) just before that layer's backward reads it, its caches in place (a
+block's rebuilt second-convolution input too). `grad_summands(upstream)`
+and the coherence and channel-gradient instruments read it there, so no
+upstream outlives its step. An evaluation forward (train=False) returns
+its output and changes no layer state, so an accuracy pass between a
+training forward and its backward changes nothing, and holds no
+activations once it returns.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -81,35 +82,22 @@ class Param:
 
 class Layer:
     name = "layer"
-    _upstream: Array | None = None  # set only by a backward with keep_upstream=True
 
     def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
         raise NotImplementedError
 
-    def backward(self, dout: Array, keep_upstream: bool = False) -> Array:
+    def backward(self, dout: Array, visit: Callable | None = None) -> Array:
         raise NotImplementedError
 
     def params(self) -> list[Param]:
         return []
 
-    def grad_summands(self) -> list[Array]:
-        """Each batch element's share of each parameter gradient of the last
-        backward: one [b, *shape] array per entry of params(), in that order,
-        summing over b to the param's grad. Weighted layers read it off the
-        upstream gradient, so the last backward must have been run with
-        keep_upstream=True (CacheMismatchError otherwise)."""
+    def grad_summands(self, upstream: Array) -> list[Array]:
+        """Each batch element's share of each parameter gradient, given the
+        gradient at this layer's output (as visit receives it) and the
+        caches of the forward it follows: one [b, *shape] array per entry of
+        params(), in that order, summing over b to the param's grad."""
         return []
-
-    @property
-    def last_upstream(self) -> Array:
-        """The gradient at this layer's output in the last backward, which
-        must have kept it (keep_upstream=True) after the last forward."""
-        if self._upstream is None:
-            raise CacheMismatchError(
-                f"{self.name}: no upstream gradient kept since the last forward; "
-                "run the backward with keep_upstream=True"
-            )
-        return self._upstream
 
 
 # ---------------------------------------------------------------------------
@@ -357,14 +345,13 @@ class GeneralizedNorm(Layer):
         on = (self.components.use_gamma, self.components.use_beta)
         return [p for p, keep in zip((self.gamma, self.beta), on) if keep]
 
-    def grad_summands(self) -> list[Array]:
-        dout = self.last_upstream
-        positions = tuple(range(2, dout.ndim))
+    def grad_summands(self, upstream):
+        positions = tuple(range(2, upstream.ndim))
         terms = []
         if self.components.use_gamma:
-            terms.append((dout * self.cache.xhat).sum(axis=positions))
+            terms.append((upstream * self.cache.xhat).sum(axis=positions))
         if self.components.use_beta:
-            terms.append(dout.sum(axis=positions))
+            terms.append(upstream.sum(axis=positions))
         return terms
 
     def _normalize(self, x: Array, stats=None) -> tuple[Array, NormCache]:
@@ -381,12 +368,12 @@ class GeneralizedNorm(Layer):
     def forward(self, x, train=True, update_stats=True):
         if not train:
             return self._normalize(x)[0]
-        self._upstream = None
         out, self.cache = self._normalize(x)
         return out
 
-    def backward(self, dout, keep_upstream=False):
-        self._upstream = dout if keep_upstream else None
+    def backward(self, dout, visit=None):
+        if visit:
+            visit(self, dout)
         dx, dgamma, dbeta = norm_backward(dout, self.cache)
         self.gamma.grad[...] = dgamma
         self.beta.grad[...] = dbeta
@@ -432,7 +419,6 @@ class BatchNorm(GeneralizedNorm):
                     f"{self.name}: no running statistics yet; run a training batch first"
                 )
             return self._normalize(x, (self.running_mean, self.running_var))[0]
-        self._upstream = None
         stale = self.batch_counter % self.period != 0 and self.cached_mean is not None
         stats = (self.cached_mean, self.cached_var) if stale else None
         out, cache = self._normalize(x, stats)
@@ -450,13 +436,13 @@ class BatchNorm(GeneralizedNorm):
             self.batch_counter += 1
         return out
 
-    def backward(self, dout: Array, keep_upstream: bool = False) -> Array:
+    def backward(self, dout: Array, visit=None) -> Array:
         if self.cache is not None and self.cache.token != self._serial:
             raise CacheMismatchError(
                 f"{self.name}: cache is from forward #{self.cache.token}, "
                 f"layer has since run forward #{self._serial}"
             )
-        return super().backward(dout, keep_upstream)
+        return super().backward(dout, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -477,20 +463,20 @@ class Conv3x3(Layer):
     def forward(self, x, train=True, update_stats=True):
         if not train:
             return conv2d_forward(x, self.kernel.value)
-        self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = conv2d_forward(self.last_in, self.kernel.value)
         return self.last_out
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         dout = as_tensor(dout)
-        self._upstream = dout if keep_upstream else None
+        if visit:
+            visit(self, dout)
         dx, dk = conv2d_backward(dout, self.last_in, self.kernel.value)
         self.kernel.grad[...] = dk
         return dx
 
-    def grad_summands(self):
-        return [conv2d_example_kernel_grads(self.last_upstream, self.last_in)]
+    def grad_summands(self, upstream):
+        return [conv2d_example_kernel_grads(upstream, self.last_in)]
 
 
 class Dense(Layer):
@@ -508,20 +494,20 @@ class Dense(Layer):
     def forward(self, x, train=True, update_stats=True):
         if not train:
             return as_tensor(x) @ self.weight.value + self.bias.value
-        self._upstream = None
         self.last_in = as_tensor(x)
         self.last_out = self.last_in @ self.weight.value + self.bias.value
         return self.last_out
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         dout = as_tensor(dout)
-        self._upstream = dout if keep_upstream else None
+        if visit:
+            visit(self, dout)
         self.weight.grad[...] = self.last_in.T @ dout
         self.bias.grad[...] = dout.sum(axis=0)
         return dout @ self.weight.value.T
 
-    def grad_summands(self):
-        return [self.last_in[:, :, None] * self.last_upstream[:, None, :], self.last_upstream]
+    def grad_summands(self, upstream):
+        return [self.last_in[:, :, None] * upstream[:, None, :], upstream]
 
 
 class ReLU(Layer):
@@ -540,7 +526,7 @@ class ReLU(Layer):
         self.last_out = np.maximum(x, 0.0)
         return self.last_out
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         return dout * (self.last_out > 0)
 
 
@@ -553,7 +539,7 @@ class Flatten(Layer):
             self.in_shape = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         return dout.reshape(self.in_shape)
 
 
@@ -566,7 +552,7 @@ class GlobalAvgPool(Layer):
             self.in_shape = x.shape
         return x.mean(axis=(2, 3))
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         b, c, h, w = self.in_shape
         return np.broadcast_to(dout[:, :, None, None], self.in_shape) / (h * w)
 
@@ -594,13 +580,8 @@ class ResidualBlock(Layer):
         self.last_sum: Array | None = None
 
     def params(self):
-        return [p for l in self._weighted() for p in l.params()]
-
-    def grad_summands(self):
-        return [s for l in self._weighted() for s in l.grad_summands()]
-
-    def _weighted(self) -> list[Layer]:
-        return [l for l in (self.conv1, self.norm1, self.conv2, self.norm2) if l]
+        return [p for l in (self.conv1, self.norm1, self.conv2, self.norm2) if l
+                for p in l.params()]
 
     def forward(self, x, train=True, update_stats=True):
         h = self.conv1.forward(x, train, update_stats)
@@ -634,20 +615,17 @@ class ResidualBlock(Layer):
         pre = self.norm1.cache.out if self.norm1 else self.conv1.last_out
         return np.maximum(pre, 0.0)
 
-    def backward(self, dout, keep_upstream=False):
+    def backward(self, dout, visit=None):
         dh = dout
         if self.norm2:
-            dh = self.norm2.backward(dh, keep_upstream)
+            dh = self.norm2.backward(dh, visit)
         self.conv2.last_in = self.relu1.last_out = self._relu_output()
-        dh = self.conv2.backward(dh, keep_upstream)
+        dh = self.conv2.backward(dh, visit)
         dh = self.relu1.backward(dh)
-        # with its upstream kept, conv2 keeps its input for grad_summands
-        self.relu1.last_out = None
-        if not keep_upstream:
-            self.conv2.last_in = None
+        self.relu1.last_out = self.conv2.last_in = None
         if self.norm1:
-            dh = self.norm1.backward(dh, keep_upstream)
-        dx = self.conv1.backward(dh, keep_upstream)
+            dh = self.norm1.backward(dh, visit)
+        dx = self.conv1.backward(dh, visit)
         dshort = dout[:, : self.c_in] if self.c_out > self.c_in else dout
         return dx + dshort
 
@@ -844,28 +822,29 @@ class Network:
             x = l.forward(x, train, update_stats)
         return x
 
-    def backward(self, dlogits: Array, keep_upstream: bool = False) -> Array:
-        """Backward through every layer; with keep_upstream each weighted
-        layer keeps the gradient at its output (Layer.last_upstream)."""
+    def backward(self, dlogits: Array, visit=None) -> Array:
+        """Backward through every layer; each weighted layer hands the
+        gradient at its output to visit(layer, upstream), if given, just
+        before its backward reads it (see the module docstring)."""
         d = dlogits
         for l in reversed(self.layers):
-            d = l.backward(d, keep_upstream)
+            d = l.backward(d, visit)
         return d
 
     def loss_and_grad(self, x, labels, update_stats=True,
-                      keep_upstream=False) -> tuple[float, Array]:
+                      visit=None) -> tuple[float, Array]:
         """Training forward + backward; fills parameter gradients. Returns
-        (loss, logits). keep_upstream as in backward: the per-example
-        summands (grad_summands) and the upstream readers need it."""
+        (loss, logits). visit as in backward: the per-example summands
+        (grad_summands) and the upstream readers take it there."""
         logits = self.forward(x, train=True, update_stats=update_stats)
         loss, dlogits = softmax_xent(logits, labels)
-        self.backward(dlogits, keep_upstream)
+        self.backward(dlogits, visit)
         return loss, logits
 
     def loss_only(self, x, labels) -> float:
         """Training-mode loss, without a backward pass or a statistics
-        update. Its training forward still replaces every layer's caches and
-        drops any kept upstream, so a backward after it reads this forward."""
+        update. Its training forward still replaces every layer's caches, so a
+        backward after it reads this forward."""
         logits = self.forward(x, train=True, update_stats=False)
         loss, _ = softmax_xent(logits, labels)
         return loss

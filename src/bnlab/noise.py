@@ -70,11 +70,12 @@ def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -
     The examples pass in chunks of batch_size consecutive ones (the last
     chunk may be shorter), one training forward and backward per chunk with
     running statistics left untouched. The chunk's mean-loss gradient is a
-    sum of one summand per example, read off the layers' caches (outer
-    products for dense layers, per-example kernel gradients for convs,
-    per-example sums for norm gains and shifts); a row is the chunk size
-    times its example's summand, so each chunk's rows average exactly to
-    that chunk's minibatch gradient.
+    sum of one summand per example, formed from each layer's upstream as
+    the backward hands it over (grad_summands: outer products for dense
+    layers, per-example kernel gradients for convs, per-example sums for
+    norm gains and shifts) and written straight into its parameter's
+    columns; a row is the chunk size times its example's summand, so each
+    chunk's rows average exactly to that chunk's minibatch gradient.
 
     Without batch normalization no example's summand depends on the others
     in its chunk, and a row is that example's own loss gradient, whatever
@@ -89,17 +90,18 @@ def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -
         raise SizeError("need at least one example")
     if batch_size < 1:
         raise SizeError(f"batch size must be >= 1, got {batch_size}")
-    rows = np.empty((n, sum(p.value.size for p in net.params())))
+    sizes = [p.value.size for p in net.params()]
+    cols = dict(zip(map(id, net.params()), np.cumsum([0] + sizes).tolist()))
+    rows = np.empty((n, sum(sizes)))
+
+    def write(layer, upstream):
+        for p, s in zip(layer.params(), layer.grad_summands(upstream)):
+            c = cols[id(p)]
+            np.multiply(s.reshape(len(s), -1), len(s), out=rows[chunk, c : c + p.value.size])
+
     for start in range(0, n, batch_size):
         chunk = slice(start, min(start + batch_size, n))
-        size = chunk.stop - start
-        net.loss_and_grad(x[chunk], labels[chunk], update_stats=False, keep_upstream=True)
-        col = 0
-        for layer in net.layers:
-            for s in layer.grad_summands():
-                s = s.reshape(size, -1)
-                np.multiply(s, size, out=rows[chunk, col : col + s.shape[1]])
-                col += s.shape[1]
+        net.loss_and_grad(x[chunk], labels[chunk], update_stats=False, visit=write)
     return GradientSet(rows)
 
 

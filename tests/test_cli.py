@@ -206,6 +206,17 @@ class TestExitCodes:
         assert main(["noise-bound", "--config", config_path, "--out", str(taken)]) == 2
         assert "run error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB", ""])
+    def test_memory_error_is_two_without_traceback(self, config_path, tmp_path, capsys,
+                                                   monkeypatch, message):
+        def load_dataset(cfg):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("bnlab.harness.cli.load_dataset", load_dataset)
+        assert main(["init-moments", "--config", config_path, "--out", str(tmp_path)]) == 2
+        want = f"run error: out of memory: {message}" if message else "run error: out of memory"
+        assert capsys.readouterr().err == want + "\n"
+
     @pytest.mark.parametrize("extra, batch", [
         ("network.kind = dense\nnetwork.norm = batch\n", 33),
         ("dataset.shape = 3,1,1\ndataset.classes = 3\n", 9),

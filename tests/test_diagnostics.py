@@ -36,6 +36,8 @@ from bnlab.nn import (
 )
 from bnlab.tensor import SeededRng, conv2d_forward
 
+from numpy_memory import numpy_held_and_peak
+
 
 def small_net(norm="batch", depth=3, width=4, seed=0, **kw):
     cfg = NetworkConfig(
@@ -192,6 +194,24 @@ class TestDivergenceMonitor:
         v1 = event.profiles[-1].layers[-1].mean_variance
         assert v1 > 100 * v0
 
+    def test_overflowed_update_leaves_the_first_profile_at_the_pre_update_point(self):
+        # sgd_step applies non-finite gradients too; 0 * inf must not reach f = 0
+        net = small_net(norm="none")
+        x, y = small_batch()
+        pre = net.flat_params()
+        want = depth_moment_profile(net, x)
+        post = pre.copy()
+        post[0] = np.inf
+        net.set_flat_params(post)
+        with np.errstate(invalid="ignore", over="ignore"):  # the later profiles are NaN
+            event = DivergenceMonitor(net).check(0, (x, y), pre, 1.0, float("nan"))
+        assert event.fractions[0] == 0.0
+        for got, ref in zip(event.profiles[0].layers, want.layers, strict=True):
+            assert got.label == ref.label
+            assert_array_equal(got.means, ref.means)
+            assert_array_equal(got.variances, ref.variances)
+        assert_array_equal(net.flat_params(), post)
+
     def test_fires_on_large_finite_loss(self):
         net = small_net()
         x, y = small_batch()
@@ -249,6 +269,24 @@ class TestSignCoherence:
             assert r.batch_partial >= r.net_abs - 1e-15
             assert r.spatial_partial >= r.net_abs - 1e-15
             assert r.ratio >= 1.0
+
+    def test_bn_twin_holds_no_upstream(self):
+        # the depth-20 BN twin at criterion-07 shapes (b = 64, c = 12, 8x8):
+        # each conv's upstream is reduced as the backward hands it over, so
+        # the pass holds what a training step does (three activations per
+        # block) and peaks about one block's upstreams and scratch above it
+        cfg = NetworkConfig(depth=20, kind="conv", width=12, class_count=10,
+                            input_shape=(3, 8, 8), norm="batch", residual=True)
+        gen = SeededRng(8).generator()
+        x, y = gen.normal(size=(64, 3, 8, 8)), gen.integers(0, 10, size=64)
+        sign_coherence(build_network(cfg, SeededRng(1)), x, y)  # sizes the conv scratch
+        net = build_network(cfg, SeededRng(0).child(100))
+        rows = []
+        held, peak = numpy_held_and_peak(lambda: rows.extend(sign_coherence(net, x, y)))
+        assert [r.layer for r in rows] == [t.label for t in net.taps]
+        act = 64 * 12 * 8 * 8 * 8
+        assert held < 31 * act
+        assert peak < 42 * act
 
     def test_ratio_consistency(self):
         net = small_net(depth=2, norm="none")
@@ -360,10 +398,11 @@ class TestChannelGradients:
         net = small_net(depth=1, norm="none")
         x, y = small_batch()
         logits = net.forward(x, train=True, update_stats=False)
-        net.backward(np.zeros_like(logits), keep_upstream=True)
-        conv = net.taps[0][1]
-        sums = conv.last_upstream.sum(axis=(0, 2, 3))
-        assert_array_equal(sums, np.zeros(4))
+        conv, sums = net.taps[0][1], []
+        net.backward(np.zeros_like(logits),
+                     visit=lambda layer, up: layer is conv and sums.append(up.sum(axis=(0, 2, 3))))
+        assert len(sums) == 1
+        assert_array_equal(sums[0], np.zeros(4))
 
 
 class TestInstrumentsAreReadOnly:

@@ -2,6 +2,7 @@
 import glob
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from numpy.testing import assert_allclose, assert_array_equal
 from bnlab.diagnostics import INSTRUMENTS
 from bnlab.errors import ConfigError, DimensionError, FormatError, SizeError
 from bnlab.harness import config as config_module
+from bnlab.harness.cli import main
 from bnlab.harness.config import (
     STANDARD_SWEEP,
+    DatasetConfig,
     ExperimentConfig,
     echo_config,
     parse_config,
@@ -34,6 +37,7 @@ from bnlab.harness.run import (
     run_experiment,
     run_leg,
 )
+from bnlab.nn import NetworkConfig
 from bnlab.tensor import SeededRng
 
 MINIMAL = "network.depth = 8\n"
@@ -102,6 +106,34 @@ class TestParseConfig:
     def test_unrunnable_values_rejected(self, extra, message):
         with pytest.raises(ConfigError, match=message):
             parse_config(MINIMAL + extra)
+
+    # one row per ConfigError raised in validate() or a value parser: a
+    # config line through `bnlab train`, or, where the parser rejects the
+    # value before validate() sees it, ExperimentConfig fields
+    @pytest.mark.parametrize("source, message", [
+        ("train.epochs = -1", "epochs must be >= 0"),
+        ("train.divergence_threshold = 0", "divergence_threshold must be positive"),
+        ("train.momentum = 1", r"momentum must lie in \[0, 1\)"),
+        ({"diagnostics": (("nope", 1),)}, "unknown instrument 'nope'"),
+        ("diagnostics.moments = 0", "diagnostics.moments period must be >= 1"),
+        ({"dataset": DatasetConfig(kind="imagenet")}, "unknown dataset kind 'imagenet'"),
+        ("rmt.m = 0", "rmt matrix counts must be >= 1"),
+        ("rmt.n = 1", "rmt needs n >= 2"),
+        ("noise.examples = 1", "noise needs examples >= 2"),
+        ("network.residual = maybe", "line 2: bad value for 'network.residual': not a boolean"),
+        ("dataset.shape = 3, 8", "line 2: .*shape needs three positive integers, got '3, 8'"),
+        ("train.schedule = 0.5", "line 2: .*schedule entries are fraction:divisor, got '0.5'"),
+    ], ids=lambda v: v if isinstance(v, str) else "fields")
+    def test_each_rejection_is_reached(self, source, message, tmp_path, capsys):
+        if isinstance(source, dict):
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig(NetworkConfig(depth=2), **source).validate()
+            return
+        p = tmp_path / "c.cfg"
+        p.write_text(f"network.depth = 2\n{source}\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and re.search(message, err)
 
     def test_bounds_admit_their_edges(self):
         cfg = parse_config(MINIMAL + "network.bn_rho = 0\nnetwork.groups = 1\n"
@@ -407,6 +439,22 @@ class TestSynthDataset:
     def test_too_many_classes_rejected(self):
         with pytest.raises(SizeError):
             synth_dataset(20, 4, (1, 4, 4), 1.0, seed=0)
+
+
+# one row per error raised by a data constructor that no config reaches:
+# validate() and the CIFAR-10 reader reject such inputs first
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: LabeledImageSet(np.zeros((2, 3)), [0, 1], 2), DimensionError,
+     r"images must be 4-d, got shape \(2, 3\)"),
+    (lambda: LabeledImageSet(np.zeros((2, 1, 1, 1)), [0], 2), SizeError, "2 images but 1 labels"),
+    (lambda: LabeledImageSet(np.zeros((2, 1, 1, 1)), [0, 2], 2), FormatError,
+     r"labels must lie in \[0, 2\), got range \[0, 2\]"),
+    (lambda: synth_dataset(1, 4), SizeError, "need at least 2 classes, got 1"),
+    (lambda: synth_dataset(2, 0), SizeError, "need at least 1 example per class, got 0"),
+], ids=["images-2d", "label-count", "label-range", "one-class", "no-examples"])
+def test_each_data_rejection_is_reached(make, error, message):
+    with pytest.raises(error, match=message):
+        make()
 
 
 class TestAugmentation:

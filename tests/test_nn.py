@@ -1,7 +1,6 @@
 import gc
 import itertools
 import math
-import tracemalloc
 import weakref
 
 import numpy as np
@@ -41,6 +40,7 @@ from bnlab.nn import (
 from bnlab.tensor import InitScheme, SeededRng
 
 from finite_diff import fd_grad
+from numpy_memory import numpy_held_and_peak
 
 
 def make_bn(channels=1, components=BnComponents(), eps=1e-5, period=1):
@@ -423,10 +423,18 @@ class TestRebuiltReluOutput:
         block = ResidualBlock(3, 3, SeededRng(66), SeededRng(67), InitScheme("he"),
                               norm_factory, "block")
         x, up = gen.normal(size=(4, 3, 4, 4)), gen.normal(size=(4, 3, 4, 4))
-        seen = []
+        seen, visited = [], []
         relu_forward = block.relu1.forward
         block.relu1.forward = lambda h, *args: seen.append(relu_forward(h, *args)) or seen[-1]
-        for keep_upstream in (False, True):
+
+        def at_conv2(layer, upstream):
+            # conv2's input is in place, rebuilt, when its upstream is handed over
+            if layer is block.conv2:
+                assert_array_equal(layer.last_in.view(np.int64), seen[0].view(np.int64))
+                assert len(layer.grad_summands(upstream)) == 1
+                visited.append(layer)
+
+        for visit in (None, at_conv2):
             if stats == "stale":
                 block.forward(gen.normal(size=x.shape))  # period 2: the next batch is stale
             seen.clear()
@@ -435,13 +443,9 @@ class TestRebuiltReluOutput:
                 assert block.norm1.cache.fresh is (stats == "fresh")
             # the forward keeps neither the ReLU's output nor conv2's copy of it
             assert block.relu1.last_out is None and block.conv2.last_in is None
-            block.backward(up, keep_upstream)
-            assert block.relu1.last_out is None
-            if keep_upstream:
-                assert_array_equal(block.conv2.last_in.view(np.int64), seen[0].view(np.int64))
-                assert len(block.conv2.grad_summands()) == 1
-            else:
-                assert block.conv2.last_in is None
+            block.backward(up, visit)
+            assert block.relu1.last_out is None and block.conv2.last_in is None
+        assert visited == [block.conv2]
 
 
 class TestNormBackwardInvariants:
@@ -894,7 +898,7 @@ class TestEvalChangesNothing:
         dict(norm="group", width=4, groups=2),
     ]
     IDS = ["conv-bn", "residual-none", "dense-bn", "group"]
-    CACHES = ("last_in", "last_out", "last_sum", "in_shape", "cache", "_upstream")
+    CACHES = ("last_in", "last_out", "last_sum", "in_shape", "cache")
 
     @classmethod
     def _caches(cls, net):
@@ -914,7 +918,7 @@ class TestEvalChangesNothing:
         gen = SeededRng(71).generator()
         x, y = gen.normal(size=(6,) + cfg.input_shape), gen.integers(0, 2, size=6)
         x_eval, y_eval = gen.normal(size=(5,) + cfg.input_shape), gen.integers(0, 2, size=5)
-        grads = []
+        grads, summands = [], []
         for interleave in (False, True):
             net = build_network(cfg, SeededRng(70))
             logits = net.forward(x)
@@ -922,17 +926,23 @@ class TestEvalChangesNothing:
             if interleave:
                 net.accuracy(x_eval, y_eval, batch=2)
                 self._assert_same_objects(self._caches(net), forward_caches)
-            net.backward(softmax_xent(logits, y)[1], keep_upstream=True)
+            summands.append([])
+            net.backward(softmax_xent(logits, y)[1],
+                         visit=lambda layer, up: summands[-1].extend(layer.grad_summands(up)))
             backward_caches = self._caches(net)
-            if interleave:  # kept upstream gradients outlive an evaluation pass too
+            if interleave:
                 net.accuracy(x_eval, y_eval, batch=2)
                 self._assert_same_objects(self._caches(net), backward_caches)
             grads.append(net.flat_grads())
         assert_array_equal(grads[1].view(np.int64), grads[0].view(np.int64))
+        assert len(summands[0]) == len(net.params())
+        for a, b in zip(*summands):
+            assert_array_equal(b.view(np.int64), a.view(np.int64))
 
 
 def _weighted_layers(net):
-    nested = [l._weighted() if isinstance(l, ResidualBlock) else [l] for l in net.layers]
+    nested = [[l.conv1, l.norm1, l.conv2, l.norm2] if isinstance(l, ResidualBlock) else [l]
+              for l in net.layers]
     return [l for ls in nested for l in ls if isinstance(l, (Conv3x3, Dense, GeneralizedNorm))]
 
 
@@ -952,16 +962,22 @@ class TestUpstreamOnRequest:
         return net, gen.normal(size=shape), gen.integers(0, 2, size=4)
 
     @pytest.mark.parametrize("overrides", NETS, ids=IDS)
-    def test_training_step_keeps_no_upstream(self, overrides):
+    def test_each_weighted_layer_is_visited_once_and_keeps_no_upstream(self, overrides):
         net, x, y = self._setup(overrides)
-        net.loss_and_grad(x, y)
+        visits = []
+
+        def visit(layer, up):
+            out = layer.cache.x if isinstance(layer, GeneralizedNorm) else layer.last_out
+            assert up.shape == out.shape
+            visits.append((layer, weakref.ref(up)))
+
+        net.loss_and_grad(x, y, visit=visit)
         layers = _weighted_layers(net)
         assert len(layers) >= 3
-        for layer in layers:
-            with pytest.raises(CacheMismatchError):
-                layer.last_upstream
-            with pytest.raises(CacheMismatchError):
-                layer.grad_summands()
+        # once each, in backward order, and no upstream outlives the step
+        assert [layer for layer, _ in visits] == layers[::-1]
+        gc.collect()
+        assert all(up() is None for _, up in visits)
 
     def test_unnormalized_residual_block_holds_two_activations(self):
         # the depth-20 unnormalized twin at criterion-07 shapes (b = 64, c = 12, 8x8)
@@ -971,13 +987,7 @@ class TestUpstreamOnRequest:
         x, y = gen.normal(size=(64, 3, 8, 8)), gen.integers(0, 10, size=64)
         build_network(cfg, SeededRng(1)).loss_and_grad(x, y)  # sizes the conv scratch
         net = build_network(cfg, SeededRng(0).child(100))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            net.loss_and_grad(x, y)
-            held = tracemalloc.get_traced_memory()[0] - base
-        finally:
-            tracemalloc.stop()
+        held, _ = numpy_held_and_peak(lambda: net.loss_and_grad(x, y))
         blocks = [l for l in net.layers if isinstance(l, ResidualBlock)]
         assert len(blocks) == 10
         assert all(b.conv2.last_out is None and b.conv2.last_in is None for b in blocks)
@@ -996,16 +1006,8 @@ class TestUpstreamOnRequest:
         x_eval, y_eval = gen.normal(size=(320, 3, 8, 8)), gen.integers(0, 10, size=320)
         build_network(cfg, SeededRng(1)).loss_and_grad(x, y)  # sizes the conv scratch
         net = build_network(cfg, SeededRng(0).child(100))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            net.loss_and_grad(x, y)
-            held = tracemalloc.get_traced_memory()[0] - base
-            tracemalloc.reset_peak()
-            net.accuracy(x_eval, y_eval, 64)
-            after, peak = (m - base for m in tracemalloc.get_traced_memory())
-        finally:
-            tracemalloc.stop()
+        held, _ = numpy_held_and_peak(lambda: net.loss_and_grad(x, y))
+        added, eval_peak = numpy_held_and_peak(lambda: net.accuracy(x_eval, y_eval, 64))
         # per block conv1's output (norm1's input), conv2's output (norm2's
         # input) and the block sum; the norms' outputs and the ReLU's output
         # are rebuilt from these, and the ReLU's input is masked on its output
@@ -1013,17 +1015,16 @@ class TestUpstreamOnRequest:
         assert 30 * act <= held < 31 * act
         # the accuracy pass leaves no activation behind (numpy's small
         # bookkeeping aside), and at most one chunk's few are live at once
-        assert abs(after - held) < act / 10
-        assert peak < 34 * act
+        assert abs(added) < act / 10
+        assert held + eval_peak < 34 * act
 
     @pytest.mark.parametrize("overrides", NETS, ids=IDS)
-    def test_kept_upstream_lasts_until_the_next_forward(self, overrides):
+    def test_summands_at_the_visit_sum_to_the_grads(self, overrides):
         net, x, y = self._setup(overrides)
-        net.loss_and_grad(x, y, update_stats=False, keep_upstream=True)
-        for layer in _weighted_layers(net):
-            for p, summands in zip(layer.params(), layer.grad_summands()):
-                assert_allclose(summands.sum(axis=0), p.grad, rtol=1e-12, atol=1e-15)
-        net.loss_only(x[::-1], y[::-1])  # a forward pass alone: fresh inputs, no upstream
-        for layer in _weighted_layers(net):
-            with pytest.raises(CacheMismatchError):
-                layer.grad_summands()
+        summands = {}
+        net.loss_and_grad(x, y, update_stats=False,
+                          visit=lambda layer, up: summands.update(
+                              zip(map(id, layer.params()), layer.grad_summands(up))))
+        assert len(summands) == len(net.params())
+        for p in net.params():
+            assert_allclose(summands[id(p)].sum(axis=0), p.grad, rtol=1e-12, atol=1e-15)

@@ -8,7 +8,6 @@ is C / b = 1.75 and the closed form gives (4 - 2) / (2 * 16) * 14 = 0.875.
 import inspect
 import itertools
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,6 +29,8 @@ from bnlab.noise import (
     sgd_noise_bound,
 )
 from bnlab.tensor import SeededRng
+
+from numpy_memory import numpy_held_and_peak
 
 NOISE_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "noise_bound.cfg")
 TOY = GradientSet(np.array([[1.0], [2.0], [3.0], [6.0]]))
@@ -284,16 +285,14 @@ class TestNoiseSummary:
         # building the set forms vectors beside its rows, over 128-row blocks;
         # a draw of b < N rows gathers b x P
         m = SeededRng(23).generator().normal(size=(300, 400))
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
+
+        def table():
             gs = GradientSet(m)
             for lr in (0.01, 1.0):
                 for b in (1, 4, 64):
                     noise_summary(gs, lr=lr, batch_size=b, trials=20, seed=0)
-            added = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
+
+        _, added = numpy_held_and_peak(table)
         assert added < m.nbytes
 
     def test_toy_summary(self):
