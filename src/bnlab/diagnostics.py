@@ -15,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, SizeError
-from .nn import Conv3x3, Network, Tap, _xent_rows, softmax_xent
-from .tensor import Array, conv2d_summand_stats
+from .nn import (Conv3x3, Dense, GeneralizedNorm, Network, ReLU, _xent_rows,
+                 softmax_xent)
+from .tensor import Array, as_tensor, conv2d_summand_stats
 
 RATIO_SATURATION = 1e12
 
@@ -66,22 +67,27 @@ def channel_moments(acts: Array) -> tuple[Array, Array]:
 
 
 def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
-    """Moments of each profiled tap's output on one batch, in depth order.
+    """Moments of each convolution or dense output on one batch, in depth
+    order, read where a norm or a ReLU receives it.
 
-    Each profiled layer's output feeds a normalizer (normalized layers) or a
-    ReLU (unnormalized layers), so growth with depth is visible even when a
-    normalizer would wipe it out one line later. A convolution that feeds
-    neither — the second convolution of an unnormalized residual block,
-    which feeds the shortcut sum — is not profiled; the trunk it
-    contributes to is read where it next meets a ReLU. Runs its own forward
-    pass; no state changes.
+    So growth with depth is visible even when a normalizer would wipe it
+    out one line later. An output that reaches neither -- the second
+    convolution's of an unnormalized residual block, which feeds only the
+    block sum -- is not read, nor is a block sum that a final-only norm
+    receives. Runs its own forward pass; no state changes.
     """
+    read, previous = [], None
+
+    def visit(layer, received):
+        nonlocal previous
+        if (isinstance(layer, (GeneralizedNorm, ReLU)) and isinstance(previous, (Conv3x3, Dense))
+                and received is previous.last_out):
+            read.append((previous.name, received))
+        previous = layer
+
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        net.forward(x, train=True, update_stats=False)
-    return MomentProfile(tuple(
-        LayerMoments(t.label, *channel_moments(t.layer.last_out))
-        for t in net.taps if t.profiled
-    ))
+        net.forward(x, train=True, update_stats=False, visit=visit)
+    return MomentProfile(tuple(LayerMoments(name, *channel_moments(a)) for name, a in read))
 
 
 # ---------------------------------------------------------------------------
@@ -257,23 +263,18 @@ class CoherenceRow:
     ratio: float
 
 
-def _conv_taps(net: Network) -> list[Tap]:
-    return [t for t in net.taps if isinstance(t.layer, Conv3x3)]
-
-
 def _reduce_conv_upstreams(net: Network, x: Array, labels: Array, reduce) -> list[tuple]:
-    """(tap, reduce(upstream, input)) per convolution, in depth order, from
+    """(name, reduce(upstream, input)) per convolution, in depth order, from
     one forward/backward that leaves normalization state untouched; each
-    upstream is reduced as the backward hands it over (visit)."""
-    taps = _conv_taps(net)
-    results = {t.layer: None for t in taps}
+    upstream is reduced as the backward hands it over (visit), deepest first."""
+    results = []
 
     def visit(layer, upstream):
-        if layer in results:
-            results[layer] = reduce(upstream, layer.last_in)
+        if isinstance(layer, Conv3x3):
+            results.append((layer.name, reduce(upstream, layer.last_in)))
 
     net.loss_and_grad(x, labels, update_stats=False, visit=visit)
-    return [(t, results[t.layer]) for t in taps]
+    return results[::-1]
 
 
 def _saturated_ratio(a: float, b: float) -> float:
@@ -292,12 +293,12 @@ def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     arrives.
     """
     rows = []
-    for t, s in _reduce_conv_upstreams(net, x, labels, conv2d_summand_stats):
+    for name, s in _reduce_conv_upstreams(net, x, labels, conv2d_summand_stats):
         a = float(s.abs_sum.mean())
         b = float(np.abs(s.total).mean())
         rows.append(
             CoherenceRow(
-                layer=t.label,
+                layer=name,
                 abs_sum=a,
                 net_abs=b,
                 batch_partial=float(s.batch_partial.mean()),
@@ -389,22 +390,33 @@ class MeanGradPair:
 def mean_vs_grad_pairs(net: Network, x: Array, labels: Array) -> list[MeanGradPair]:
     """(incoming activation level, kernel gradient magnitude) per channel pair.
 
-    The activation is read before the ReLU that feeds the convolution (for
-    the first layer, the network input itself; for a convolution fed by a
-    residual trunk, the unrectified block sum). Gradients come from one
+    The activation is what the ReLU in front of the convolution received,
+    or else the convolution's own input (the network input for the first
+    layer, the unrectified block sum for a convolution fed by a residual
+    trunk), read as the forward hands it over. Gradients come from one
     backward pass over the given sample.
     """
-    net.loss_and_grad(x, labels, update_stats=False)
+    feed_means, relu, relu_in = {}, None, None
+
+    def visit(layer, received):
+        nonlocal relu, relu_in
+        if isinstance(layer, ReLU):
+            relu, relu_in = layer, received
+        elif isinstance(layer, Conv3x3):
+            feed = relu_in if relu is not None and received is relu.last_out else received
+            feed_means[layer] = as_tensor(feed).mean(axis=(0, 2, 3))
+
+    logits = net.forward(x, train=True, update_stats=False, visit=visit)
+    net.backward(softmax_xent(logits, labels)[1])
     pairs = []
-    for t in _conv_taps(net):
-        means = t.feed().mean(axis=(0, 2, 3))
-        mags = np.abs(t.layer.kernel.grad).mean(axis=(2, 3))  # [c_out, c_in]
+    for conv, means in feed_means.items():
+        mags = np.abs(conv.kernel.grad).mean(axis=(2, 3))  # [c_out, c_in]
         c_out, c_in = mags.shape
         for ci in range(c_in):
             for co in range(c_out):
                 pairs.append(
                     MeanGradPair(
-                        layer=t.label,
+                        layer=conv.name,
                         in_channel=ci,
                         out_channel=co,
                         input_mean=float(means[ci]),
@@ -429,8 +441,8 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
     positions; its magnitude is reported per channel.
     """
     sums = _reduce_conv_upstreams(net, x, labels, lambda up, _: up.sum(axis=(0, 2, 3)))
-    return [ChannelGradient(layer=t.label, channel=c, value=float(abs(v)))
-            for t, s in sums for c, v in enumerate(s)]
+    return [ChannelGradient(layer=name, channel=c, value=float(abs(v)))
+            for name, s in sums for c, v in enumerate(s)]
 
 
 # ---------------------------------------------------------------------------

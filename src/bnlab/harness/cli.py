@@ -195,18 +195,13 @@ def main(argv=None) -> int:
         cfg = parse_config_file(args.config)
         if args.seed is not None:
             cfg.seed = args.seed
+            cfg.validate()
         out = args.out if args.out is not None else cfg.out_dir
         os.makedirs(out, exist_ok=True)
         return _DISPATCH[args.command](cfg, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        if getattr(exc, "filename", None) == args.config:
-            print(f"config error: cannot read {args.config}", file=sys.stderr)
-            return 1
-        print(f"run error: {exc}", file=sys.stderr)
-        return 2
     except (BnlabError, OSError) as exc:  # raised after the config parsed
         print(f"run error: {exc}", file=sys.stderr)
         return 2

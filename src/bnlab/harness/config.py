@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError("learning rates must be positive and finite")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0 (got {self.seed})")
         if not all(0 < divisor < math.inf and math.isfinite(frac)
                    for frac, divisor in self.schedule):
             raise ConfigError("schedule divisors must be positive and every entry finite")
@@ -323,8 +325,15 @@ def parse_config(text: str) -> ExperimentConfig:
 
 
 def parse_config_file(path: str) -> ExperimentConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """parse_config on a file's text; an unreadable or non-UTF-8 file is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"cannot read {path}: byte {exc.start} is not UTF-8") from exc
+    return parse_config(text)
 
 
 def echo_config(cfg: ExperimentConfig) -> str:

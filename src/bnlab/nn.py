@@ -14,9 +14,9 @@ input arrays.
 
 After a training step a layer holds only what its backward reads: a
 convolution or dense layer its input (`last_in`) and output (`last_out`,
-for the depth profile; a residual block's second convolution with no norm
-after it feeds only the block sum, and drops it), a norm layer its
-NormCache (the input and the statistics; x-hat and the output are
+the array a norm after it caches; a residual block's second convolution
+with no norm after it feeds only the block sum, and drops it), a norm layer
+its NormCache (the input and the statistics; x-hat and the output are
 recomputed from them on demand), a ReLU its output (which the next layer
 holds as its input anyway; out > 0 exactly where x > 0). Inside a residual
 block neither the ReLU nor the second convolution keeps the ReLU's output:
@@ -29,10 +29,12 @@ calls visit(layer, upstream) once per weighted layer (convolution, dense,
 norm) just before that layer's backward reads it, its caches in place (a
 block's rebuilt second-convolution input too). `grad_summands(upstream)`
 and the coherence and channel-gradient instruments read it there, so no
-upstream outlives its step. An evaluation forward (train=False) returns
-its output and changes no layer state, so an accuracy pass between a
-training forward and its backward changes nothing, and holds no
-activations once it returns.
+upstream outlives its step. A forward given `visit` calls visit(layer, x)
+with each layer's input (a block's children too) just before the layer runs,
+where the depth profile and the mean_grad instrument read activations. An
+evaluation forward (train=False) returns its output and changes no layer
+state, so an accuracy pass between a training forward and its backward
+changes nothing, and holds no activations once it returns.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -41,7 +43,7 @@ setup of Bjorck et al. (2018).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -83,7 +85,9 @@ class Param:
 class Layer:
     name = "layer"
 
-    def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
+    def forward(self, x: Array, train: bool = True, update_stats: bool = True,
+                visit: Callable | None = None) -> Array:
+        """visit: as in Network.forward, for a residual block's children."""
         raise NotImplementedError
 
     def backward(self, dout: Array, visit: Callable | None = None) -> Array:
@@ -365,7 +369,7 @@ class GeneralizedNorm(Layer):
             groups=self.groups, components=self.components, stats=stats, eps=self.eps,
         )
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if not train:
             return self._normalize(x)[0]
         out, self.cache = self._normalize(x)
@@ -412,7 +416,7 @@ class BatchNorm(GeneralizedNorm):
         self.cached_var: Array | None = None
         self._serial = 0
 
-    def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if not train:
             if not self.stats_initialized:
                 raise UninitializedStatsError(
@@ -460,7 +464,7 @@ class Conv3x3(Layer):
     def params(self):
         return [self.kernel]
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if not train:
             return conv2d_forward(x, self.kernel.value)
         self.last_in = as_tensor(x)
@@ -491,7 +495,7 @@ class Dense(Layer):
     def params(self):
         return [self.weight, self.bias]
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if not train:
             return as_tensor(x) @ self.weight.value + self.bias.value
         self.last_in = as_tensor(x)
@@ -520,7 +524,7 @@ class ReLU(Layer):
     def __init__(self):
         self.last_out: Array | None = None
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if not train:
             return np.maximum(x, 0.0)
         self.last_out = np.maximum(x, 0.0)
@@ -534,7 +538,7 @@ class Flatten(Layer):
     def __init__(self):
         self.in_shape = None
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if train:
             self.in_shape = x.shape
         return x.reshape(x.shape[0], -1)
@@ -547,7 +551,7 @@ class GlobalAvgPool(Layer):
     def __init__(self):
         self.in_shape = None
 
-    def forward(self, x, train=True, update_stats=True):
+    def forward(self, x, train=True, update_stats=True, visit=None):
         if train:
             self.in_shape = x.shape
         return x.mean(axis=(2, 3))
@@ -555,6 +559,17 @@ class GlobalAvgPool(Layer):
     def backward(self, dout, visit=None):
         b, c, h, w = self.in_shape
         return np.broadcast_to(dout[:, :, None, None], self.in_shape) / (h * w)
+
+
+def _forward_through(layers: list[Layer], x: Array, train: bool, update_stats: bool,
+                     visit: Callable | None) -> Array:
+    """x through each layer in turn, each first handed to visit(layer, x), if
+    given: the very array the layer then receives."""
+    for l in layers:
+        if visit:
+            visit(l, x)
+        x = l.forward(x, train, update_stats, visit)
+    return x
 
 
 class ResidualBlock(Layer):
@@ -579,18 +594,15 @@ class ResidualBlock(Layer):
         self.norm2 = norm_factory(c_out, name + ".norm2")
         self.last_sum: Array | None = None
 
-    def params(self):
-        return [p for l in (self.conv1, self.norm1, self.conv2, self.norm2) if l
-                for p in l.params()]
+    def branch(self) -> list[Layer]:
+        """The branch's layers in forward order, absent norms left out."""
+        return [l for l in (self.conv1, self.norm1, self.relu1, self.conv2, self.norm2) if l]
 
-    def forward(self, x, train=True, update_stats=True):
-        h = self.conv1.forward(x, train, update_stats)
-        if self.norm1:
-            h = self.norm1.forward(h, train, update_stats)
-        h = self.relu1.forward(h, train, update_stats)
-        h = self.conv2.forward(h, train, update_stats)
-        if self.norm2:
-            h = self.norm2.forward(h, train, update_stats)
+    def params(self):
+        return [p for l in self.branch() for p in l.params()]
+
+    def forward(self, x, train=True, update_stats=True, visit=None):
+        h = _forward_through(self.branch(), x, train, update_stats, visit)
         if self.c_out > self.c_in:
             b, _, hh, ww = x.shape
             shortcut = np.concatenate(
@@ -603,7 +615,7 @@ class ResidualBlock(Layer):
         # the backward rebuilds the ReLU's output (_relu_output)
         self.relu1.last_out = self.conv2.last_in = None
         if not self.norm2:
-            # the branch output feeds only the sum: no backward or tap reads it
+            # the branch output feeds only the sum: no backward reads it
             self.conv2.last_out = None
         self.last_sum = h + shortcut
         return self.last_sum
@@ -771,8 +783,14 @@ class NetworkConfig:
             raise ConfigError("width and groups must be >= 1 and class_count >= 2")
         if not 0 < self.bn_eps < np.inf or not 0 <= self.bn_rho <= 1:
             raise ConfigError("bn_eps must be positive and finite and bn_rho must lie in [0, 1]")
+        if self.bn_period < 1:
+            raise ConfigError("bn_period must be >= 1")
         if self.residual and self.kind != "conv":
             raise ConfigError("residual blocks require kind='conv'")
+        if self.residual and self.depth % 2 == 0 and self.width < self.input_shape[0]:
+            raise ConfigError(f"a residual net of even depth cannot have width ({self.width}) "
+                              f"below the input channels ({self.input_shape[0]}): its first "
+                              "block would narrow")
         if self.kind == "dense" and self.norm in ("instance", "group"):
             raise ConfigError(f"norm {self.norm!r} undefined for dense networks")
         if self.norm == "group" and self.width % self.groups != 0:
@@ -781,35 +799,12 @@ class NetworkConfig:
             )
 
 
-class Tap(NamedTuple):
-    """One feature layer as the instruments see it.
-
-    feed returns the tensor that feeds a convolution, read before the ReLU
-    in front of it: the output of the layer in front of that ReLU (a
-    convolution's last_out, or a norm's output rebuilt from its cache by
-    NormCache.out, which holds until the next parameter update), the network
-    input for the first convolution, or the raw block sum for one fed by a
-    residual trunk; None for dense layers.
-    profiled says whether the depth profile reads layer.last_out: the tensor
-    feeding a normalizer or a ReLU. Only the second convolution of an
-    unnormalized residual block, which feeds just the shortcut sum, is out
-    (and keeps no last_out).
-    """
-
-    label: str
-    layer: Layer
-    feed: Callable[[], Array] | None
-    profiled: bool
-
-
 class Network:
-    """A feature stack plus classifier head, with one Tap per feature
-    convolution / dense layer, in depth order."""
+    """A feature stack plus classifier head."""
 
-    def __init__(self, config: NetworkConfig, layers: list[Layer], taps: list[Tap]):
+    def __init__(self, config: NetworkConfig, layers: list[Layer]):
         self.config = config
         self.layers = layers
-        self.taps = taps
         self._params = []
         for l in layers:
             self._params.extend(l.params())
@@ -817,10 +812,11 @@ class Network:
     def params(self) -> list[Param]:
         return self._params
 
-    def forward(self, x: Array, train: bool = True, update_stats: bool = True) -> Array:
-        for l in self.layers:
-            x = l.forward(x, train, update_stats)
-        return x
+    def forward(self, x: Array, train: bool = True, update_stats: bool = True,
+                visit=None) -> Array:
+        """Forward through every layer; visit, if given, sees each layer's input
+        as the module docstring says."""
+        return _forward_through(self.layers, x, train, update_stats, visit)
 
     def backward(self, dlogits: Array, visit=None) -> Array:
         """Backward through every layer; each weighted layer hands the
@@ -911,47 +907,27 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         return _make_norm(config, channels, name)
 
     layers: list[Layer] = []
-    taps: list[Tap] = []
 
     if config.kind == "conv":
         w = config.width
         c_prev = config.input_shape[0]
-        feed = None  # getter for the tensor feeding the next conv; None: the input
-
-        def reader(obj, attr="last_in"):
-            return lambda: getattr(obj, attr)
-
-        def pre_relu(conv, norm):
-            # what the ReLU behind conv [- norm] received; it keeps only its output
-            return (lambda: norm.cache.out) if norm else reader(conv, "last_out")
-
         # a residual net of odd depth starts with one plain stem layer
         plain = config.depth % 2 if config.residual else config.depth
         for d in range(plain):
             conv = Conv3x3(c_prev, w, next_rng(), config.init, f"conv{d}")
-            taps.append(Tap(conv.name, conv, feed or reader(conv), True))
-            relu = ReLU()
             n = norm_factory(w, f"norm{d}")
-            layers += [conv, n, relu] if n else [conv, relu]
-            feed = pre_relu(conv, n)
+            layers += [conv, n, ReLU()] if n else [conv, ReLU()]
             c_prev = w
         for bi in range((config.depth - plain) // 2):
-            block = ResidualBlock(
+            layers.append(ResidualBlock(
                 c_prev, w, next_rng(), next_rng(), config.init, norm_factory, f"block{bi}"
-            )
-            conv1, conv2 = block.conv1, block.conv2
-            taps.append(Tap(conv1.name, conv1, feed or reader(conv1), True))
-            taps.append(Tap(conv2.name, conv2, pre_relu(conv1, block.norm1),
-                            block.norm2 is not None))
-            layers.append(block)
-            feed = reader(block, "last_sum")
+            ))
             c_prev = w
     else:
         layers.append(Flatten())
         prev = int(np.prod(config.input_shape))
         for d in range(config.depth):
             dense = Dense(prev, config.width, next_rng(), config.init, f"dense{d}")
-            taps.append(Tap(dense.name, dense, None, True))
             n = norm_factory(config.width, f"norm{d}")
             layers += [dense, n, ReLU()] if n else [dense, ReLU()]
             prev = config.width
@@ -961,7 +937,7 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         layers.append(GlobalAvgPool())
     layers.append(Dense(config.width, config.class_count, next_rng(), config.init, "head"))
 
-    return Network(config, layers, taps)
+    return Network(config, layers)
 
 
 def _make_norm(config: NetworkConfig, channels: int, name: str) -> Layer:

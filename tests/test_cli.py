@@ -1,12 +1,18 @@
 """End-to-end tests of the command-line interface and its exit codes."""
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bnlab.harness import config as config_module
 from bnlab.harness.cli import main
 from bnlab.harness.config import DATASET_KINDS
 from bnlab.nn import NETWORK_KINDS, NORMS, PLACEMENTS
@@ -144,6 +150,25 @@ class TestExitCodes:
         assert main(["train", "--config", missing, "--out", str(tmp_path / "o")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "rmt-spectrum"])
+    @pytest.mark.parametrize("through", ["config", "flag"])
+    def test_negative_seed_is_one_without_traceback(self, tmp_path, capsys, command, through):
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\n" + ("train.seed = -1\n" if through == "config" else ""))
+        flag = ["--seed", "-1"] if through == "flag" else []
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o"), *flag]) == 1
+        assert capsys.readouterr().err == "config error: seed must be >= 0 (got -1)\n"
+
+    def test_non_utf8_config_is_one_without_traceback(self, tmp_path, capsys):
+        p = tmp_path / "c.cfg"
+        p.write_bytes(b"network.depth = 2\nout.dir = r\xfcns\n")
+        assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: cannot read {p}: byte 29 is not UTF-8\n"
+
+    def test_directory_as_config_is_one(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"config error: cannot read {tmp_path}: Is a directory\n"
+
     def test_missing_dataset_dir_is_two(self, tmp_path, capsys):
         p = tmp_path / "c.cfg"
         p.write_text(
@@ -154,12 +179,19 @@ class TestExitCodes:
         assert "run error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["train", "rmt-density"])
-    def test_unrunnable_value_is_one_without_traceback(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("extra, message", [
+        ("network.norm = group\nnetwork.groups = 0\n", "width and groups must be >= 1"),
+        ("network.bn_period = 0\n", "bn_period must be >= 1"),
+        ("network.residual = true\nnetwork.width = 2\n",
+         "a residual net of even depth cannot have width (2) below the input channels (3)"),
+    ], ids=["groups", "bn-period", "narrowing"])
+    def test_unrunnable_value_is_one_without_traceback(self, tmp_path, capsys, command,
+                                                       extra, message):
         p = tmp_path / "c.cfg"
-        p.write_text("network.depth = 2\nnetwork.norm = group\nnetwork.groups = 0\n")
+        p.write_text("network.depth = 2\n" + extra)
         assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("config error: width and groups must be >= 1")
+        assert err.startswith("config error: " + message)
         assert "Traceback" not in err
 
     def test_removed_sigmas_key_is_one_without_traceback(self, tmp_path, capsys):
@@ -253,6 +285,65 @@ class TestExitCodes:
         )
         assert main(["noise-bound", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
         assert "last chunk of 1 example" in capsys.readouterr().err
+
+
+# a tiny run: two classes of 2x4x4 blobs, 4 training examples each, no steps
+TINY = {
+    "network.depth": "2", "network.width": "4", "dataset.classes": "2",
+    "dataset.per_class": "4", "dataset.test_per_class": "2", "dataset.shape": "2,4,4",
+    "train.batch_size": "4", "train.epochs": "0", "rmt.grid_points": "5",
+}
+BOUNDARY = (b"-1", b"0", b"1", b"2")
+_LISTS = (config_module.INTS, config_module.FLOATS, config_module.LRS, config_module.SHAPE,
+          config_module.SCHEDULE)
+SCALAR_KEYS = [key for key, (kind, _) in config_module._ROWS.items() if kind not in _LISTS]
+
+
+def _boundary_values(key):
+    kind = config_module._ROWS[key][0]
+    if kind is config_module.FLOAT:
+        return BOUNDARY + (b"nan", b"inf", b"-inf")
+    if kind is config_module.STR:
+        return BOUNDARY + (b"r\xfcns",)  # latin-1, not UTF-8
+    return BOUNDARY
+
+
+OVERRIDES = st.one_of(
+    st.sampled_from(SCALAR_KEYS).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(_boundary_values(key)))),
+    st.tuples(st.just("--seed"), st.sampled_from(BOUNDARY)),
+)
+
+
+class TestExitCodeContract:
+    """One scalar key of the key table, or --seed, at a small boundary value:
+    no exception leaves main, and it exits 1 exactly when it reports a
+    config error, 0 otherwise."""
+
+    @settings(derandomize=True, max_examples=250, deadline=None, database=None)
+    @given(OVERRIDES)
+    @example(("train.seed", b"-1"))
+    @example(("--seed", b"-1"))
+    @example(("out.dir", b"r\xfcns"))
+    def test_boundary_value_exits_by_contract(self, override):
+        key, value = override
+        lines = {k.encode(): v.encode() for k, v in TINY.items()}
+        flag = []
+        if key == "--seed":
+            flag = ["--seed", value.decode()]
+        else:
+            lines[key.encode()] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "c.cfg")
+            with open(path, "wb") as fh:
+                fh.write(b"".join(k + b" = " + v + b"\n" for k, v in lines.items()))
+            for command in ("rmt-density", "train"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    code = main([command, "--config", path, "--out", os.path.join(tmp, "o"),
+                                 *flag])
+                err = err.getvalue()
+                assert code == (1 if err.startswith("config error:") else 0), (command, err)
 
 
 class TestAnalysisCommands:

@@ -85,7 +85,7 @@ class TestDepthMomentProfile:
         net = small_net(depth=1, norm="batch")
         x, _ = small_batch()
         profile = depth_moment_profile(net, x)
-        conv = net.taps[0][1]
+        conv = net.layers[0]
         raw = conv2d_forward(x, conv.kernel.value)
         assert_allclose(profile.layers[0].means, raw.mean(axis=(0, 2, 3)), rtol=1e-12)
         assert_allclose(
@@ -283,7 +283,7 @@ class TestSignCoherence:
         net = build_network(cfg, SeededRng(0).child(100))
         rows = []
         held, peak = numpy_held_and_peak(lambda: rows.extend(sign_coherence(net, x, y)))
-        assert [r.layer for r in rows] == [t.label for t in net.taps]
+        assert [r.layer for r in rows] == [f"block{i}.conv{j}" for i in range(10) for j in (1, 2)]
         act = 64 * 12 * 8 * 8 * 8
         assert held < 31 * act
         assert peak < 42 * act
@@ -367,7 +367,7 @@ class TestMeanVsGrad:
         net = small_net(depth=2, norm="none", width=4)
         x, y = small_batch()
         pairs = mean_vs_grad_pairs(net, x, y)
-        conv0 = net.taps[0][1]
+        conv0 = net.layers[0]
         feed = conv2d_forward(x, conv0.kernel.value)  # pre-ReLU input of conv1
         means = feed.mean(axis=(0, 2, 3))
         for p in pairs:
@@ -381,7 +381,7 @@ class TestChannelGradients:
         x, y = small_batch()
         rows = channel_gradients(net, x, y)
         # by hand: head -> global average pool -> ReLU mask -> conv output
-        conv = net.taps[0][1]
+        conv = net.layers[0]
         conv_out = conv2d_forward(x, conv.kernel.value)
         logits = net.forward(x, train=True, update_stats=False)
         _, dlog = softmax_xent(logits, y)
@@ -398,7 +398,7 @@ class TestChannelGradients:
         net = small_net(depth=1, norm="none")
         x, y = small_batch()
         logits = net.forward(x, train=True, update_stats=False)
-        conv, sums = net.taps[0][1], []
+        conv, sums = net.layers[0], []
         net.backward(np.zeros_like(logits),
                      visit=lambda layer, up: layer is conv and sums.append(up.sum(axis=(0, 2, 3))))
         assert len(sums) == 1
@@ -491,6 +491,9 @@ class TestTapRules:
     CASES = {
         "plain-batch": (dict(depth=3), ["conv0", "conv1", "conv2"]),
         "plain-none": (dict(depth=3, norm="none"), ["conv0", "conv1", "conv2"]),
+        "plain-final-only": (
+            dict(depth=3, placement="final_only"), ["conv0", "conv1", "conv2"],
+        ),
         "residual-even-batch": (
             dict(depth=4, residual=True),
             ["block0.conv1", "block0.conv2", "block1.conv1", "block1.conv2"],
@@ -512,6 +515,9 @@ class TestTapRules:
         ),
         "dense-batch": (dict(depth=3, kind="dense"), ["dense0", "dense1", "dense2"]),
         "dense-none": (dict(depth=2, kind="dense", norm="none"), ["dense0", "dense1"]),
+        "dense-final-only": (
+            dict(depth=2, kind="dense", placement="final_only"), ["dense0", "dense1"],
+        ),
     }
 
     @staticmethod

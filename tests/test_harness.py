@@ -102,6 +102,8 @@ class TestParseConfig:
         ("rmt.m_list =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("noise.lrs =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("noise.batch_sizes =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
+        ("network.bn_period = 0\n", "bn_period must be >= 1"),
+        ("network.residual = true\nnetwork.width = 2\n", "its first block would narrow"),
     ], ids=lambda v: v.strip().replace("\n", "; "))
     def test_unrunnable_values_rejected(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -112,6 +114,7 @@ class TestParseConfig:
     # value before validate() sees it, ExperimentConfig fields
     @pytest.mark.parametrize("source, message", [
         ("train.epochs = -1", "epochs must be >= 0"),
+        ("train.seed = -1", r"seed must be >= 0 \(got -1\)"),
         ("train.divergence_threshold = 0", "divergence_threshold must be positive"),
         ("train.momentum = 1", r"momentum must lie in \[0, 1\)"),
         ({"diagnostics": (("nope", 1),)}, "unknown instrument 'nope'"),

@@ -749,22 +749,25 @@ def tiny_conv_config(**kw):
 
 
 class TestBuildNetwork:
-    def test_tap_count_matches_depth(self):
+    def test_conv_count_matches_depth(self):
         for depth in (1, 2, 5):
             net = build_network(tiny_conv_config(depth=depth), SeededRng(0))
-            assert len(net.taps) == depth
+            assert sum(isinstance(l, Conv3x3) for l in _weighted_layers(net)) == depth
         net = build_network(
             tiny_conv_config(depth=5, residual=True, width=4), SeededRng(0)
         )
-        assert len(net.taps) == 5
+        assert sum(isinstance(l, Conv3x3) for l in _weighted_layers(net)) == 5
 
     def test_norm_variants_share_initial_weights(self):
         cfg_bn = tiny_conv_config(norm="batch")
         cfg_none = tiny_conv_config(norm="none")
         net_a = build_network(cfg_bn, SeededRng(77))
         net_b = build_network(cfg_none, SeededRng(77))
-        for a, b in zip(net_a.taps, net_b.taps):
-            assert_array_equal(a.layer.kernel.value, b.layer.kernel.value)
+        kernels_a, kernels_b = ([p for p in net.params() if p.value.ndim == 4]
+                                for net in (net_a, net_b))
+        assert len(kernels_a) == len(kernels_b) == 2
+        for a, b in zip(kernels_a, kernels_b):
+            assert_array_equal(a.value, b.value)
 
     def test_per_layer_norm_count(self):
         net = build_network(tiny_conv_config(depth=3), SeededRng(0))
@@ -978,6 +981,25 @@ class TestUpstreamOnRequest:
         assert [layer for layer, _ in visits] == layers[::-1]
         gc.collect()
         assert all(up() is None for _, up in visits)
+
+    @pytest.mark.parametrize("overrides", NETS, ids=IDS)
+    def test_forward_visits_each_layer_once_with_the_array_it_receives(self, overrides,
+                                                                         monkeypatch):
+        net, x, _ = self._setup(overrides)
+        nested = [[l, *l.branch()] if isinstance(l, ResidualBlock) else [l] for l in net.layers]
+        layers = [l for ls in nested for l in ls]
+        received = []
+        for layer in layers:
+            def forward(x, *args, layer=layer, run=layer.forward):
+                received.append((layer, x))
+                return run(x, *args)
+
+            monkeypatch.setattr(layer, "forward", forward)
+        visits = []
+        net.forward(x, visit=lambda layer, x: visits.append((layer, x)))
+        # once each, block children right after their block, in forward order
+        assert [layer for layer, _ in visits] == [layer for layer, _ in received] == layers
+        assert all(v is r for (_, v), (_, r) in zip(visits, received))
 
     def test_unnormalized_residual_block_holds_two_activations(self):
         # the depth-20 unnormalized twin at criterion-07 shapes (b = 64, c = 12, 8x8)
