@@ -78,10 +78,10 @@ def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
     """
     read, previous = [], None
 
-    def visit(layer, received):
+    def visit(layer, received, out):
+        # post-order: previous is the layer that ran last, whose output this one received
         nonlocal previous
-        if (isinstance(layer, (GeneralizedNorm, ReLU)) and isinstance(previous, (Conv3x3, Dense))
-                and received is previous.last_out):
+        if isinstance(layer, (GeneralizedNorm, ReLU)) and isinstance(previous, (Conv3x3, Dense)):
             read.append((previous.name, received))
         previous = layer
 
@@ -396,14 +396,14 @@ def mean_vs_grad_pairs(net: Network, x: Array, labels: Array) -> list[MeanGradPa
     trunk), read as the forward hands it over. Gradients come from one
     backward pass over the given sample.
     """
-    feed_means, relu, relu_in = {}, None, None
+    feed_means, relu_in, relu_out = {}, None, None
 
-    def visit(layer, received):
-        nonlocal relu, relu_in
+    def visit(layer, received, out):
+        nonlocal relu_in, relu_out
         if isinstance(layer, ReLU):
-            relu, relu_in = layer, received
+            relu_in, relu_out = received, out
         elif isinstance(layer, Conv3x3):
-            feed = relu_in if relu is not None and received is relu.last_out else received
+            feed = relu_in if received is relu_out else received
             feed_means[layer] = as_tensor(feed).mean(axis=(0, 2, 3))
 
     logits = net.forward(x, train=True, update_stats=False, visit=visit)

@@ -58,7 +58,8 @@ class RunArtifact:
 
 def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSet]:
     """Train/test pair per the config, preprocessed with train statistics;
-    a batch larger than the training set is a config error."""
+    a batch larger than the training set, or a synthetic set whose
+    per-channel mean or std overflows, is a config error."""
     d = cfg.dataset
     if d.kind == "cifar10":
         train, test = load_cifar10_dir(d.directory)
@@ -72,6 +73,12 @@ def load_dataset(cfg: ExperimentConfig) -> tuple[LabeledImageSet, LabeledImageSe
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds the training set ({train.n})"
         )
+    if d.kind == "synthetic":
+        with np.errstate(over="ignore", invalid="ignore"):
+            stats = train.images.mean(axis=(0, 2, 3)), train.images.std(axis=(0, 2, 3))
+        if not np.isfinite(stats).all():
+            raise ConfigError(f"dataset.separation = {d.separation!r} is too large: the training "
+                              "set's per-channel mean or std is not finite")
     train, test = preprocess(train, test)
     return train, test
 

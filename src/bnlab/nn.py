@@ -13,28 +13,25 @@ parameter gradients (no accumulation across calls). Nothing mutates its
 input arrays.
 
 After a training step a layer holds only what its backward reads: a
-convolution or dense layer its input (`last_in`) and output (`last_out`,
-the array a norm after it caches; a residual block's second convolution
-with no norm after it feeds only the block sum, and drops it), a norm layer
-its NormCache (the input and the statistics; x-hat and the output are
-recomputed from them on demand), a ReLU its output (which the next layer
-holds as its input anyway; out > 0 exactly where x > 0). Inside a residual
-block neither the ReLU nor the second convolution keeps the ReLU's output:
-the block's backward rebuilds it, bit for bit, from the first norm's cache
-or the first convolution's output, and drops it again after the second
-convolution's backward. So a block holds the first convolution's output,
-the block sum and, with norms, the second convolution's output. No layer
-keeps the gradient at its output (its upstream): a backward given `visit`
-calls visit(layer, upstream) once per weighted layer (convolution, dense,
-norm) just before that layer's backward reads it, its caches in place (a
-block's rebuilt second-convolution input too). `grad_summands(upstream)`
-and the coherence and channel-gradient instruments read it there, so no
-upstream outlives its step. A forward given `visit` calls visit(layer, x)
-with each layer's input (a block's children too) just before the layer runs,
-where the depth profile and the mean_grad instrument read activations. An
-evaluation forward (train=False) returns its output and changes no layer
-state, so an accuracy pass between a training forward and its backward
-changes nothing, and holds no activations once it returns.
+convolution or dense layer its input (`last_in`), a norm layer its
+NormCache (the input and the statistics; x-hat and the output are
+recomputed from them on demand), a ReLU its output (the next layer's input;
+out > 0 exactly where x > 0), Flatten and GlobalAvgPool the input's shape,
+and a residual block nothing of its own. In a block with norms the
+backward rebuilds the ReLU's output, bit for bit, from the first norm's
+cache, and drops it again after the second convolution's backward. No
+layer keeps the gradient at its output (its upstream): a backward given
+`visit` calls visit(layer, upstream) once per weighted layer (convolution,
+dense, norm) just before that layer's backward reads it, its caches in
+place (a block's rebuilt second-convolution input too). `grad_summands`
+and the coherence and channel-gradient instruments read it there. A
+forward given `visit` calls visit(layer, x, out) in post-order, once each
+layer (a block's children, then the block) has run, with the very arrays
+it received and returned; the depth profile and the mean_grad instrument
+read activations there. An evaluation forward (train=False) returns its
+output and changes no layer state, so an accuracy pass between a training
+forward and its backward changes nothing, and holds no activations once
+it returns.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -459,7 +456,6 @@ class Conv3x3(Layer):
         self.name = name
         self.kernel = Param(name + ".kernel", init_tensor((c_out, c_in, 3, 3), init, rng))
         self.last_in: Array | None = None
-        self.last_out: Array | None = None
 
     def params(self):
         return [self.kernel]
@@ -468,8 +464,7 @@ class Conv3x3(Layer):
         if not train:
             return conv2d_forward(x, self.kernel.value)
         self.last_in = as_tensor(x)
-        self.last_out = conv2d_forward(self.last_in, self.kernel.value)
-        return self.last_out
+        return conv2d_forward(self.last_in, self.kernel.value)
 
     def backward(self, dout, visit=None):
         dout = as_tensor(dout)
@@ -490,7 +485,6 @@ class Dense(Layer):
         self.weight = Param(name + ".weight", init_tensor((d_in, d_out), init, rng))
         self.bias = Param(name + ".bias", np.zeros(d_out))
         self.last_in: Array | None = None
-        self.last_out: Array | None = None
 
     def params(self):
         return [self.weight, self.bias]
@@ -499,8 +493,7 @@ class Dense(Layer):
         if not train:
             return as_tensor(x) @ self.weight.value + self.bias.value
         self.last_in = as_tensor(x)
-        self.last_out = self.last_in @ self.weight.value + self.bias.value
-        return self.last_out
+        return self.last_in @ self.weight.value + self.bias.value
 
     def backward(self, dout, visit=None):
         dout = as_tensor(dout)
@@ -518,8 +511,8 @@ class ReLU(Layer):
     """max(x, 0). It keeps its output, which the next layer holds as its
     input anyway: out > 0 exactly where x > 0 (for every float64, NaN and
     the signed zeros and infinities included), so that mask is the
-    backward's. A residual block clears it after its forward and sets it
-    again for the backward (ResidualBlock._relu_output)."""
+    backward's. A residual block with norms clears it after its forward and
+    rebuilds it for the backward."""
 
     def __init__(self):
         self.last_out: Array | None = None
@@ -563,12 +556,13 @@ class GlobalAvgPool(Layer):
 
 def _forward_through(layers: list[Layer], x: Array, train: bool, update_stats: bool,
                      visit: Callable | None) -> Array:
-    """x through each layer in turn, each first handed to visit(layer, x), if
-    given: the very array the layer then receives."""
+    """x through each layer in turn; once a layer has run, visit(layer, x,
+    out), if given, with the very arrays it received and returned."""
     for l in layers:
+        out = l.forward(x, train, update_stats, visit)
         if visit:
-            visit(l, x)
-        x = l.forward(x, train, update_stats, visit)
+            visit(l, x, out)
+        x = out
     return x
 
 
@@ -592,7 +586,6 @@ class ResidualBlock(Layer):
         self.relu1 = ReLU()
         self.conv2 = Conv3x3(c_out, c_out, rng_b, init, name + ".conv2")
         self.norm2 = norm_factory(c_out, name + ".norm2")
-        self.last_sum: Array | None = None
 
     def branch(self) -> list[Layer]:
         """The branch's layers in forward order, absent norms left out."""
@@ -610,32 +603,22 @@ class ResidualBlock(Layer):
             )
         else:
             shortcut = x
-        if not train:
-            return h + shortcut
-        # the backward rebuilds the ReLU's output (_relu_output)
-        self.relu1.last_out = self.conv2.last_in = None
-        if not self.norm2:
-            # the branch output feeds only the sum: no backward reads it
-            self.conv2.last_out = None
-        self.last_sum = h + shortcut
-        return self.last_sum
-
-    def _relu_output(self) -> Array:
-        """The inner ReLU's output, rebuilt bit for bit from what it
-        received: the first norm's output rebuilt from its cache (so before
-        the next parameter update), or the first convolution's."""
-        pre = self.norm1.cache.out if self.norm1 else self.conv1.last_out
-        return np.maximum(pre, 0.0)
+        if train and self.norm1:
+            # the backward rebuilds the ReLU's output from norm1's cache
+            self.relu1.last_out = self.conv2.last_in = None
+        return h + shortcut
 
     def backward(self, dout, visit=None):
         dh = dout
         if self.norm2:
             dh = self.norm2.backward(dh, visit)
-        self.conv2.last_in = self.relu1.last_out = self._relu_output()
+        if self.norm1:
+            # bit for bit the forward's, before the next parameter update
+            self.conv2.last_in = self.relu1.last_out = np.maximum(self.norm1.cache.out, 0.0)
         dh = self.conv2.backward(dh, visit)
         dh = self.relu1.backward(dh)
-        self.relu1.last_out = self.conv2.last_in = None
         if self.norm1:
+            self.relu1.last_out = self.conv2.last_in = None
             dh = self.norm1.backward(dh, visit)
         dx = self.conv1.backward(dh, visit)
         dshort = dout[:, : self.c_in] if self.c_out > self.c_in else dout
@@ -797,6 +780,13 @@ class NetworkConfig:
             raise ConfigError(
                 f"width ({self.width}) not divisible by groups ({self.groups})"
             )
+        # one example's normalization region: channels per position times positions
+        channels = {"layer": self.width, "instance": 1, "group": self.width // self.groups}
+        positions = self.input_shape[1] * self.input_shape[2] if self.kind == "conv" else 1
+        if self.norm in channels and channels[self.norm] * positions < 2:
+            raise ConfigError(f"{self.norm} normalization region would hold 1 element "
+                              f"(network.width = {self.width}, network.groups = {self.groups}, "
+                              f"{positions} position(s) per channel); need >= 2")
 
 
 class Network:
@@ -814,8 +804,8 @@ class Network:
 
     def forward(self, x: Array, train: bool = True, update_stats: bool = True,
                 visit=None) -> Array:
-        """Forward through every layer; visit, if given, sees each layer's input
-        as the module docstring says."""
+        """Forward through every layer; visit, if given, sees each layer's
+        input and output as the module docstring says."""
         return _forward_through(self.layers, x, train, update_stats, visit)
 
     def backward(self, dlogits: Array, visit=None) -> Array:

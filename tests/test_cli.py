@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bnlab.harness import config as config_module
-from bnlab.harness.cli import main
+from bnlab.harness.cli import _DISPATCH, main
 from bnlab.harness.config import DATASET_KINDS
 from bnlab.nn import NETWORK_KINDS, NORMS, PLACEMENTS
 from bnlab.rmt import (FussCatalanDensity, condition_report, density, sample_product_spectrum,
@@ -178,13 +178,22 @@ class TestExitCodes:
         assert main(["train", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
         assert "run error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "rmt-density"])
+    @pytest.mark.parametrize("command", ["train", "rmt-density", "init-moments"])
     @pytest.mark.parametrize("extra, message", [
         ("network.norm = group\nnetwork.groups = 0\n", "width and groups must be >= 1"),
         ("network.bn_period = 0\n", "bn_period must be >= 1"),
         ("network.residual = true\nnetwork.width = 2\n",
          "a residual net of even depth cannot have width (2) below the input channels (3)"),
-    ], ids=["groups", "bn-period", "narrowing"])
+        ("network.kind = dense\nnetwork.norm = layer\nnetwork.width = 1\n",
+         "layer normalization region would hold 1 element"),
+        ("network.norm = instance\ndataset.shape = 10,1,1\n",
+         "instance normalization region would hold 1 element"),
+        ("network.norm = group\nnetwork.groups = 4\nnetwork.width = 4\ndataset.shape = 2,1,1\n",
+         "group normalization region would hold 1 element"),
+        ("network.norm = layer\nnetwork.width = 1\ndataset.shape = 2,1,1\n",
+         "layer normalization region would hold 1 element"),
+    ], ids=["groups", "bn-period", "narrowing", "dense-layer-region", "instance-region",
+            "group-region", "layer-region"])
     def test_unrunnable_value_is_one_without_traceback(self, tmp_path, capsys, command,
                                                        extra, message):
         p = tmp_path / "c.cfg"
@@ -193,6 +202,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("config error: " + message)
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, data", [
+        ("probe-loss", "dataset.classes = 2\ndataset.shape = 2,4,4\ndataset.separation = 1e308\n"),
+        ("train", "dataset.classes = 2\ndataset.shape = 2,4,4\ndataset.separation = 1e308\n"),
+        ("train", "dataset.classes = 10\ndataset.shape = 3,8,8\ndataset.separation = 1e200\n"),
+    ], ids=["probe-loss-1e308", "train-1e308", "train-1e200"])
+    def test_overflowing_separation_is_one_without_traceback(self, tmp_path, capsys, command,
+                                                             data):
+        # the training set's channel mean (1e308) or std (1e200) is not finite
+        p = tmp_path / "c.cfg"
+        p.write_text("network.depth = 2\nnetwork.width = 4\ndataset.per_class = 4\n"
+                     "dataset.test_per_class = 2\ntrain.batch_size = 4\ntrain.epochs = 1\n" + data)
+        assert main([command, "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: dataset.separation = ")
+        assert "per-channel mean or std is not finite" in err and "Traceback" not in err
 
     def test_removed_sigmas_key_is_one_without_traceback(self, tmp_path, capsys):
         # factors are N(0, 1/N); per-factor scales would be divided back out
@@ -287,57 +312,84 @@ class TestExitCodes:
         assert "last chunk of 1 example" in capsys.readouterr().err
 
 
-# a tiny run: two classes of 2x4x4 blobs, 4 training examples each, no steps
+# a tiny run: two classes of 2x4x4 blobs, 4 training examples each, no
+# steps, and rmt and noise tables of a few entries, so that each of the nine
+# subcommands takes milliseconds
 TINY = {
     "network.depth": "2", "network.width": "4", "dataset.classes": "2",
     "dataset.per_class": "4", "dataset.test_per_class": "2", "dataset.shape": "2,4,4",
-    "train.batch_size": "4", "train.epochs": "0", "rmt.grid_points": "5",
+    "train.batch_size": "4", "train.epochs": "0", "rmt.grid_points": "5", "rmt.n": "4",
+    "rmt.trials": "2", "noise.examples": "8", "noise.batch_sizes": "1, 2", "noise.trials": "20",
 }
+COMMANDS = tuple(_DISPATCH)
 BOUNDARY = (b"-1", b"0", b"1", b"2")
+LIST_VALUES = (b"1", b"2", b"1, 2", b"0", b"-1")
 _LISTS = (config_module.INTS, config_module.FLOATS, config_module.LRS, config_module.SHAPE,
           config_module.SCHEDULE)
-SCALAR_KEYS = [key for key, (kind, _) in config_module._ROWS.items() if kind not in _LISTS]
+# the rows that size a normalization region, each with values around its edge
+REGION_VALUES = {
+    "network.norm": tuple(norm.encode() for norm in NORMS),
+    "network.width": (b"1", b"2", b"4", b"8"),
+    "network.groups": (b"1", b"2", b"4"),
+    "dataset.shape": (b"2,1,1", b"2,2,1", b"1,4,4", b"10,1,1"),
+}
 
 
 def _boundary_values(key):
     kind = config_module._ROWS[key][0]
+    if kind in _LISTS:
+        return LIST_VALUES
     if kind is config_module.FLOAT:
-        return BOUNDARY + (b"nan", b"inf", b"-inf")
+        return BOUNDARY + (b"nan", b"inf", b"-inf", b"1e308")
     if kind is config_module.STR:
         return BOUNDARY + (b"r\xfcns",)  # latin-1, not UTF-8
     return BOUNDARY
 
 
-OVERRIDES = st.one_of(
-    st.sampled_from(SCALAR_KEYS).flatmap(
-        lambda key: st.tuples(st.just(key), st.sampled_from(_boundary_values(key)))),
-    st.tuples(st.just("--seed"), st.sampled_from(BOUNDARY)),
-)
+def _override(keys, values):
+    return st.sampled_from(keys).flatmap(
+        lambda key: st.tuples(st.just(key), st.sampled_from(values(key))))
+
+
+# one key of the table (or --seed) at a boundary value, and maybe a second
+# key from the region rows
+OVERRIDES = st.tuples(
+    st.one_of(_override(list(config_module._ROWS), _boundary_values),
+              st.tuples(st.just("--seed"), st.sampled_from(BOUNDARY))),
+    st.none() | _override(list(REGION_VALUES), REGION_VALUES.get),
+).map(lambda pair: [o for o in pair if o is not None])
 
 
 class TestExitCodeContract:
-    """One scalar key of the key table, or --seed, at a small boundary value:
-    no exception leaves main, and it exits 1 exactly when it reports a
-    config error, 0 otherwise."""
+    """One key of the key table, or --seed, at a small boundary value, and
+    maybe a second key that sizes a normalization region: no exception
+    leaves main, and every subcommand exits 1 exactly when it reports a
+    config error, 0 otherwise. About 250 examples of nine tiny commands
+    each, some 10 s."""
 
     @settings(derandomize=True, max_examples=250, deadline=None, database=None)
     @given(OVERRIDES)
-    @example(("train.seed", b"-1"))
-    @example(("--seed", b"-1"))
-    @example(("out.dir", b"r\xfcns"))
-    def test_boundary_value_exits_by_contract(self, override):
-        key, value = override
+    @example([("train.seed", b"-1")])
+    @example([("--seed", b"-1")])
+    @example([("out.dir", b"r\xfcns")])
+    @example([("dataset.separation", b"1e308")])
+    @example([("network.norm", b"instance"), ("dataset.shape", b"10,1,1")])
+    @example([("network.norm", b"group"), ("dataset.shape", b"2,1,1")])
+    @example([("network.kind", b"dense"), ("network.norm", b"layer"), ("network.width", b"1")])
+    @example([("network.norm", b"layer"), ("network.width", b"1"), ("dataset.shape", b"2,1,1")])
+    def test_boundary_value_exits_by_contract(self, overrides):
         lines = {k.encode(): v.encode() for k, v in TINY.items()}
         flag = []
-        if key == "--seed":
-            flag = ["--seed", value.decode()]
-        else:
-            lines[key.encode()] = value
+        for key, value in overrides:
+            if key == "--seed":
+                flag = ["--seed", value.decode()]
+            else:
+                lines[key.encode()] = value
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "c.cfg")
             with open(path, "wb") as fh:
                 fh.write(b"".join(k + b" = " + v + b"\n" for k, v in lines.items()))
-            for command in ("rmt-density", "train"):
+            for command in COMMANDS:
                 err = io.StringIO()
                 with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                     code = main([command, "--config", path, "--out", os.path.join(tmp, "o"),

@@ -458,31 +458,52 @@ def _norm_output(norm):
     )[0]
 
 
+def _layer_output(layer, norm=None):
+    """A conv or dense layer's output in the last training pass (None before
+    one): the input the norm after it cached, or else recomputed from the
+    layer's own input with the forward's operations (bit for bit)."""
+    if norm is not None:
+        return None if norm.cache is None else norm.cache.x
+    if layer.last_in is None:
+        return None
+    if isinstance(layer, Conv3x3):
+        return conv2d_forward(layer.last_in, layer.kernel.value)
+    return layer.last_in @ layer.weight.value + layer.bias.value
+
+
 def _feature_layers(net):
-    """Every feature conv / dense layer by name, and the tensor feeding each
-    conv, read off the layer stack after a pass: the network input for the
-    first conv, then the input of the latest ReLU, or a block's sum. A ReLU
-    keeps only its output, so its input is worked out here: the output of
-    the norm or the conv in front of it."""
-    layers, feeds, trunk, pre_relu = {}, {}, None, None
-    for layer in net.layers:
+    """Every feature conv / dense layer by name, its output, and the tensor
+    feeding each conv, read off the layer stack after a pass: the conv's own
+    input (the network input, or a block sum, which the next block's conv1
+    keeps as its input), unless a ReLU is in front of it, whose input it is.
+    A ReLU keeps only its output, so its input is worked out here: the
+    output of the norm or the conv in front of it."""
+    layers, outputs, feeds, pre_relu, after_relu = {}, {}, {}, None, False
+
+    def feed(conv):
+        return pre_relu if after_relu else conv.last_in
+
+    stack = net.layers + [None]
+    for layer, after in zip(stack, stack[1:]):
         if isinstance(layer, ResidualBlock):
-            layers[layer.conv1.name], layers[layer.conv2.name] = layer.conv1, layer.conv2
-            feeds[layer.conv1.name] = layer.conv1.last_in if trunk is None else trunk
-            norm1 = layer.norm1
-            feeds[layer.conv2.name] = _norm_output(norm1) if norm1 else layer.conv1.last_out
-            trunk = layer.last_sum
-        elif isinstance(layer, Conv3x3):
+            conv1, conv2, norm1 = layer.conv1, layer.conv2, layer.norm1
+            layers[conv1.name], layers[conv2.name] = conv1, conv2
+            outputs[conv1.name] = _layer_output(conv1, norm1)
+            outputs[conv2.name] = _layer_output(conv2, layer.norm2)
+            feeds[conv1.name] = feed(conv1)
+            feeds[conv2.name] = _norm_output(norm1) if norm1 else outputs[conv1.name]
+            after_relu = False
+        elif isinstance(layer, (Conv3x3, Dense)) and layer.name != "head":
             layers[layer.name] = layer
-            feeds[layer.name] = layer.last_in if trunk is None else trunk
-            pre_relu = layer.last_out
+            if isinstance(layer, Conv3x3):
+                feeds[layer.name], after_relu = feed(layer), False
+            norm = after if isinstance(after, GeneralizedNorm) else None
+            outputs[layer.name] = pre_relu = _layer_output(layer, norm)
         elif isinstance(layer, GeneralizedNorm):
             pre_relu = _norm_output(layer)
         elif isinstance(layer, ReLU):
-            trunk = pre_relu
-        elif isinstance(layer, Dense) and layer.name != "head":
-            layers[layer.name] = layer
-    return layers, feeds
+            after_relu = True
+    return layers, outputs, feeds
 
 
 class TestTapRules:
@@ -535,9 +556,9 @@ class TestTapRules:
         x, _ = small_batch()
         profile = depth_moment_profile(net, x)
         assert [lm.label for lm in profile.layers] == expected
-        layers, _ = _feature_layers(net)
+        _, outputs, _ = _feature_layers(net)
         for lm in profile.layers:
-            out = layers[lm.label].last_out
+            out = outputs[lm.label]
             axes = (0, 2, 3) if out.ndim == 4 else (0,)
             assert_array_equal(lm.means, out.mean(axis=axes))
             assert_array_equal(lm.variances, out.var(axis=axes))
@@ -547,7 +568,7 @@ class TestTapRules:
         kw, _ = self.CASES[case]
         net = self._net(kw)
         x, y = small_batch()
-        layers, _ = _feature_layers(net)
+        layers, _, _ = _feature_layers(net)
         convs = [name for name, layer in layers.items() if isinstance(layer, Conv3x3)]
         if kw.get("kind") == "dense":
             assert convs == []
@@ -555,7 +576,7 @@ class TestTapRules:
         rows = channel_gradients(net, x, y)
         assert [r.layer for r in rows] == [name for name in convs for _ in range(4)]
         pairs = mean_vs_grad_pairs(net, x, y)
-        _, feeds = _feature_layers(net)
+        _, _, feeds = _feature_layers(net)
         assert list(dict.fromkeys(p.layer for p in pairs)) == convs
         for p in pairs:
             feed = feeds[p.layer]

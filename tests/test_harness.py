@@ -104,6 +104,15 @@ class TestParseConfig:
         ("noise.batch_sizes =\n", "rmt.m_list, noise.lrs and noise.batch_sizes must not be empty"),
         ("network.bn_period = 0\n", "bn_period must be >= 1"),
         ("network.residual = true\nnetwork.width = 2\n", "its first block would narrow"),
+        ("network.kind = dense\nnetwork.norm = layer\nnetwork.width = 1\n",
+         r"layer normalization region would hold 1 element \(network.width = 1, "
+         r"network.groups = 4, 1 position\(s\) per channel\); need >= 2"),
+        ("network.norm = layer\nnetwork.width = 1\ndataset.shape = 2,1,1\n",
+         "layer normalization region would hold 1 element"),
+        ("network.norm = instance\ndataset.shape = 10,1,1\n",
+         "instance normalization region would hold 1 element"),
+        ("network.norm = group\nnetwork.groups = 4\nnetwork.width = 4\ndataset.shape = 2,1,1\n",
+         "group normalization region would hold 1 element"),
     ], ids=lambda v: v.strip().replace("\n", "; "))
     def test_unrunnable_values_rejected(self, extra, message):
         with pytest.raises(ConfigError, match=message):
@@ -139,6 +148,11 @@ class TestParseConfig:
         assert err.startswith("config error: ") and re.search(message, err)
 
     def test_bounds_admit_their_edges(self):
+        # a normalization region of two elements is accepted
+        for extra in ("network.norm = instance\ndataset.shape = 10,2,1\n",
+                      "network.kind = dense\nnetwork.norm = layer\nnetwork.width = 2\n",
+                      "network.norm = group\nnetwork.width = 8\ndataset.shape = 10,1,1\n"):
+            parse_config(MINIMAL + extra)
         cfg = parse_config(MINIMAL + "network.bn_rho = 0\nnetwork.groups = 1\n"
                            "train.divergence_threshold = inf\nnoise.lrs = standard\n")
         assert cfg.network.bn_rho == 0.0 and cfg.network.groups == 1
