@@ -74,7 +74,8 @@ def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
     out one line later. An output that reaches neither -- the second
     convolution's of an unnormalized residual block, which feeds only the
     block sum -- is not read, nor is a block sum that a final-only norm
-    receives. Runs its own forward pass; no state changes.
+    receives. Runs its own forward pass; no state changes. Each output is
+    reduced as the forward hands it over, overflow warnings ignored there too.
     """
     read, previous = [], None
 
@@ -82,12 +83,12 @@ def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
         # post-order: previous is the layer that ran last, whose output this one received
         nonlocal previous
         if isinstance(layer, (GeneralizedNorm, ReLU)) and isinstance(previous, (Conv3x3, Dense)):
-            read.append((previous.name, received))
+            read.append(LayerMoments(previous.name, *channel_moments(received)))
         previous = layer
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         net.forward(x, train=True, update_stats=False, visit=visit)
-    return MomentProfile(tuple(LayerMoments(name, *channel_moments(a)) for name, a in read))
+    return MomentProfile(tuple(read))
 
 
 # ---------------------------------------------------------------------------

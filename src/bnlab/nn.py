@@ -15,23 +15,22 @@ input arrays.
 After a training step a layer holds only what its backward reads: a
 convolution or dense layer its input (`last_in`), a norm layer its
 NormCache (the input and the statistics; x-hat and the output are
-recomputed from them on demand), a ReLU its output (the next layer's input;
-out > 0 exactly where x > 0), Flatten and GlobalAvgPool the input's shape,
-and a residual block nothing of its own. In a block with norms the
-backward rebuilds the ReLU's output, bit for bit, from the first norm's
-cache, and drops it again after the second convolution's backward. No
+recomputed from them on demand), a ReLU its output (out > 0 exactly where
+x > 0), Flatten and GlobalAvgPool the input's shape, and a residual block
+nothing of its own. A ReLU right after a norm, and a conv or dense layer
+after it, let go of the ReLU's output once that layer has run: the one
+backward walk, of a network and of a block's branch alike, rebuilds it bit
+for bit from the norm's cache where it is read, and drops it again. No
 layer keeps the gradient at its output (its upstream): a backward given
 `visit` calls visit(layer, upstream) once per weighted layer (convolution,
-dense, norm) just before that layer's backward reads it, its caches in
-place (a block's rebuilt second-convolution input too). `grad_summands`
-and the coherence and channel-gradient instruments read it there. A
-forward given `visit` calls visit(layer, x, out) in post-order, once each
-layer (a block's children, then the block) has run, with the very arrays
-it received and returned; the depth profile and the mean_grad instrument
-read activations there. An evaluation forward (train=False) returns its
-output and changes no layer state, so an accuracy pass between a training
-forward and its backward changes nothing, and holds no activations once
-it returns.
+dense, norm) just before that layer's backward reads it, with its caches,
+rebuilt ones too, in place; `grad_summands` and the coherence and
+channel-gradient instruments read it there. A forward given `visit` calls
+visit(layer, x, out) in post-order, once each layer (a block's children,
+then the block) has run, with the very arrays it received and returned;
+the depth profile and the mean_grad instrument read activations there. An
+evaluation forward (train=False) changes no layer state, so an accuracy
+pass between a training forward and its backward changes nothing.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -39,6 +38,7 @@ setup of Bjorck et al. (2018).
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -350,7 +350,8 @@ class GeneralizedNorm(Layer):
         positions = tuple(range(2, upstream.ndim))
         terms = []
         if self.components.use_gamma:
-            terms.append((upstream * self.cache.xhat).sum(axis=positions))
+            xhat = self.cache.xhat  # a fresh array, so the product can go into it
+            terms.append(np.multiply(upstream, xhat, out=xhat).sum(axis=positions))
         if self.components.use_beta:
             terms.append(upstream.sum(axis=positions))
         return terms
@@ -511,8 +512,7 @@ class ReLU(Layer):
     """max(x, 0). It keeps its output, which the next layer holds as its
     input anyway: out > 0 exactly where x > 0 (for every float64, NaN and
     the signed zeros and infinities included), so that mask is the
-    backward's. A residual block with norms clears it after its forward and
-    rebuilds it for the backward."""
+    backward's. After a norm the walks drop and rebuild it (_backward_through)."""
 
     def __init__(self):
         self.last_out: Array | None = None
@@ -554,16 +554,51 @@ class GlobalAvgPool(Layer):
         return np.broadcast_to(dout[:, :, None, None], self.in_shape) / (h * w)
 
 
+def _relu_after_norm(layers: list[Layer], i: int) -> bool:
+    """Whether layers[i] is a ReLU right after a norm, and not the last layer."""
+    return (0 < i < len(layers) - 1 and isinstance(layers[i], ReLU)
+            and isinstance(layers[i - 1], GeneralizedNorm))
+
+
+def _relu_output(layers: list[Layer], i: int, rebuild: bool) -> None:
+    """Rebuild the output of the ReLU at i from the norm's cache, or drop it,
+    as the ReLU's output and as the input of a conv or dense layer after it."""
+    out = layers[i - 1].cache.out if rebuild else None
+    layers[i].last_out = out if out is None else np.maximum(out, 0.0, out=out)
+    if isinstance(layers[i + 1], (Conv3x3, Dense)):
+        layers[i + 1].last_in = out
+
+
 def _forward_through(layers: list[Layer], x: Array, train: bool, update_stats: bool,
                      visit: Callable | None) -> Array:
     """x through each layer in turn; once a layer has run, visit(layer, x,
-    out), if given, with the very arrays it received and returned."""
-    for l in layers:
+    out), if given, with the very arrays it received and returned; a training
+    forward then drops a ReLU output as _backward_through says."""
+    for i, l in enumerate(layers):
         out = l.forward(x, train, update_stats, visit)
         if visit:
             visit(l, x, out)
+        if train and _relu_after_norm(layers, i - 1):
+            _relu_output(layers, i - 1, rebuild=False)
         x = out
     return x
+
+
+def _backward_through(layers: list[Layer], d: Array, visit: Callable | None) -> Array:
+    """d back through each layer, last first; visit as in Network.backward.
+    The output of a ReLU right after a norm, dropped once the next layer has
+    run, is rebuilt from the norm's cache (bit for bit, until the next
+    parameter update) just before the conv or dense layer it feeds runs its
+    backward, or else just before the ReLU's own, and dropped after that."""
+    for i in reversed(range(len(layers))):
+        l = layers[i]
+        j = i - 1 if isinstance(l, (Conv3x3, Dense)) and _relu_after_norm(layers, i - 1) else i
+        if _relu_after_norm(layers, j) and layers[j].last_out is None:
+            _relu_output(layers, j, rebuild=True)
+        d = l.backward(d, visit)
+        if _relu_after_norm(layers, i):
+            _relu_output(layers, i, rebuild=False)
+    return d
 
 
 class ResidualBlock(Layer):
@@ -597,30 +632,11 @@ class ResidualBlock(Layer):
     def forward(self, x, train=True, update_stats=True, visit=None):
         h = _forward_through(self.branch(), x, train, update_stats, visit)
         if self.c_out > self.c_in:
-            b, _, hh, ww = x.shape
-            shortcut = np.concatenate(
-                [x, np.zeros((b, self.c_out - self.c_in, hh, ww))], axis=1
-            )
-        else:
-            shortcut = x
-        if train and self.norm1:
-            # the backward rebuilds the ReLU's output from norm1's cache
-            self.relu1.last_out = self.conv2.last_in = None
-        return h + shortcut
+            x = np.pad(x, ((0, 0), (0, self.c_out - self.c_in), (0, 0), (0, 0)))
+        return h + x
 
     def backward(self, dout, visit=None):
-        dh = dout
-        if self.norm2:
-            dh = self.norm2.backward(dh, visit)
-        if self.norm1:
-            # bit for bit the forward's, before the next parameter update
-            self.conv2.last_in = self.relu1.last_out = np.maximum(self.norm1.cache.out, 0.0)
-        dh = self.conv2.backward(dh, visit)
-        dh = self.relu1.backward(dh)
-        if self.norm1:
-            self.relu1.last_out = self.conv2.last_in = None
-            dh = self.norm1.backward(dh, visit)
-        dx = self.conv1.backward(dh, visit)
+        dx = _backward_through(self.branch(), dout, visit)
         dshort = dout[:, : self.c_in] if self.c_out > self.c_in else dout
         return dx + dshort
 
@@ -812,10 +828,7 @@ class Network:
         """Backward through every layer; each weighted layer hands the
         gradient at its output to visit(layer, upstream), if given, just
         before its backward reads it (see the module docstring)."""
-        d = dlogits
-        for l in reversed(self.layers):
-            d = l.backward(d, visit)
-        return d
+        return _backward_through(self.layers, dlogits, visit)
 
     def loss_and_grad(self, x, labels, update_stats=True,
                       visit=None) -> tuple[float, Array]:
@@ -884,12 +897,7 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
     """
     config.validate()
     config = replace(config)  # keep the caller's object out of reach
-    counter = {"k": 0}
-
-    def next_rng():
-        r = rng.child(counter["k"])
-        counter["k"] += 1
-        return r
+    rngs = map(rng.child, itertools.count())
 
     def norm_factory(channels, name):
         if config.norm == "none" or config.placement == "final_only":
@@ -904,20 +912,20 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         # a residual net of odd depth starts with one plain stem layer
         plain = config.depth % 2 if config.residual else config.depth
         for d in range(plain):
-            conv = Conv3x3(c_prev, w, next_rng(), config.init, f"conv{d}")
+            conv = Conv3x3(c_prev, w, next(rngs), config.init, f"conv{d}")
             n = norm_factory(w, f"norm{d}")
             layers += [conv, n, ReLU()] if n else [conv, ReLU()]
             c_prev = w
         for bi in range((config.depth - plain) // 2):
             layers.append(ResidualBlock(
-                c_prev, w, next_rng(), next_rng(), config.init, norm_factory, f"block{bi}"
+                c_prev, w, next(rngs), next(rngs), config.init, norm_factory, f"block{bi}"
             ))
             c_prev = w
     else:
         layers.append(Flatten())
         prev = int(np.prod(config.input_shape))
         for d in range(config.depth):
-            dense = Dense(prev, config.width, next_rng(), config.init, f"dense{d}")
+            dense = Dense(prev, config.width, next(rngs), config.init, f"dense{d}")
             n = norm_factory(config.width, f"norm{d}")
             layers += [dense, n, ReLU()] if n else [dense, ReLU()]
             prev = config.width
@@ -925,7 +933,7 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
         layers.append(_make_norm(config, config.width, "norm_final"))
     if config.kind == "conv":
         layers.append(GlobalAvgPool())
-    layers.append(Dense(config.width, config.class_count, next_rng(), config.init, "head"))
+    layers.append(Dense(config.width, config.class_count, next(rngs), config.init, "head"))
 
     return Network(config, layers)
 
