@@ -19,9 +19,10 @@ import numpy as np
 # depth_moment_profile is re-exported: bench/ looks it up here
 from ..diagnostics import INSTRUMENTS, depth_moment_profile  # noqa: F401
 from ..errors import BnlabError, ConfigError
-from ..noise import noise_summary, per_example_gradients
-from ..rmt import (FussCatalanDensity, condition_report, density, ks_distance,
-                   sample_product_spectra, sample_product_spectrum, support_upper)
+from ..noise import NoiseRow, noise_table, per_example_gradients
+from ..rmt import (ConditionEntry, ConditionSummary, FussCatalanDensity, condition_report,
+                   density, ks_distance, sample_product_spectra, sample_product_spectrum,
+                   support_upper)
 from .config import ExperimentConfig, parse_config_file
 from .run import _write_json, emit, leg_start, load_dataset, run_experiment, write_csv
 
@@ -107,21 +108,9 @@ def _cmd_rmt_spectrum(cfg: ExperimentConfig, out: str) -> int:
 def _cmd_rmt_condition(cfg: ExperimentConfig, out: str) -> int:
     r = cfg.rmt
     report = condition_report(sample_product_spectra(r.m_list, r.n, r.trials, cfg.seed))
-    write_csv(
-        os.path.join(out, "condition.csv"),
-        ("m", "trial", "kappa", "sigma_max", "saturated"),
-        [(e.m, e.trial, e.kappa, e.sigma_max, int(e.saturated)) for e in report.entries],
-    )
-    write_csv(
-        os.path.join(out, "condition_summary.csv"),
-        ("m", "median_kappa", "mean_kappa", "median_sigma_max", "mean_sigma_max",
-         "saturated_trials"),
-        [
-            (s.m, s.median_kappa, s.mean_kappa, s.median_sigma_max, s.mean_sigma_max,
-             s.saturated_trials)
-            for s in report.summaries
-        ],
-    )
+    write_csv(os.path.join(out, "condition.csv"), ConditionEntry._fields, report.entries)
+    write_csv(os.path.join(out, "condition_summary.csv"), ConditionSummary._fields,
+              report.summaries)
     return 0
 
 
@@ -143,24 +132,8 @@ def _cmd_noise_bound(cfg: ExperimentConfig, out: str) -> int:
     gs = per_example_gradients(
         net, train.images[: z.examples], train.labels[: z.examples], cfg.batch_size
     )
-    rows = []
-    for lr in z.lrs:
-        for b in z.batch_sizes:
-            s = noise_summary(gs, lr=lr, batch_size=b, trials=z.trials, seed=cfg.seed)
-            rows.append(
-                (
-                    lr, b, s.noise_constant, s.bound, s.closed_form,
-                    s.with_replacement.estimate, s.with_replacement.std_err,
-                    s.without_replacement.estimate, s.without_replacement.std_err,
-                )
-            )
-    write_csv(
-        os.path.join(out, "noise.csv"),
-        ("lr", "batch_size", "noise_constant", "bound", "closed_form",
-         "mc_with_estimate", "mc_with_std_err",
-         "mc_without_estimate", "mc_without_std_err"),
-        rows,
-    )
+    write_csv(os.path.join(out, "noise.csv"), NoiseRow._fields,
+              noise_table(gs, z.lrs, z.batch_sizes, trials=z.trials, seed=cfg.seed))
     return 0
 
 

@@ -555,9 +555,12 @@ class GlobalAvgPool(Layer):
 
 
 def _relu_after_norm(layers: list[Layer], i: int) -> bool:
-    """Whether layers[i] is a ReLU right after a norm, and not the last layer."""
+    """Whether layers[i] is a ReLU right after a norm, and not the last layer
+    nor feeding a residual block (whose first conv keeps the same array as
+    its input, so dropping the output would free nothing)."""
     return (0 < i < len(layers) - 1 and isinstance(layers[i], ReLU)
-            and isinstance(layers[i - 1], GeneralizedNorm))
+            and isinstance(layers[i - 1], GeneralizedNorm)
+            and not isinstance(layers[i + 1], ResidualBlock))
 
 
 def _relu_output(layers: list[Layer], i: int, rebuild: bool) -> None:
@@ -589,7 +592,9 @@ def _backward_through(layers: list[Layer], d: Array, visit: Callable | None) -> 
     The output of a ReLU right after a norm, dropped once the next layer has
     run, is rebuilt from the norm's cache (bit for bit, until the next
     parameter update) just before the conv or dense layer it feeds runs its
-    backward, or else just before the ReLU's own, and dropped after that."""
+    backward, or else just before the ReLU's own, and dropped after that.
+    A ReLU that feeds a residual block keeps its output, which is the
+    block's first conv's input, and is never rebuilt."""
     for i in reversed(range(len(layers))):
         l = layers[i]
         j = i - 1 if isinstance(l, (Conv3x3, Dense)) and _relu_after_norm(layers, i - 1) else i
@@ -904,31 +909,25 @@ def build_network(config: NetworkConfig, rng: SeededRng) -> Network:
             return None
         return _make_norm(config, channels, name)
 
-    layers: list[Layer] = []
-
     if config.kind == "conv":
-        w = config.width
-        c_prev = config.input_shape[0]
-        # a residual net of odd depth starts with one plain stem layer
-        plain = config.depth % 2 if config.residual else config.depth
-        for d in range(plain):
-            conv = Conv3x3(c_prev, w, next(rngs), config.init, f"conv{d}")
-            n = norm_factory(w, f"norm{d}")
-            layers += [conv, n, ReLU()] if n else [conv, ReLU()]
-            c_prev = w
-        for bi in range((config.depth - plain) // 2):
-            layers.append(ResidualBlock(
-                c_prev, w, next(rngs), next(rngs), config.init, norm_factory, f"block{bi}"
-            ))
-            c_prev = w
+        layers: list[Layer] = []
+        weighted, c_prev = Conv3x3, config.input_shape[0]
     else:
-        layers.append(Flatten())
-        prev = int(np.prod(config.input_shape))
-        for d in range(config.depth):
-            dense = Dense(prev, config.width, next(rngs), config.init, f"dense{d}")
-            n = norm_factory(config.width, f"norm{d}")
-            layers += [dense, n, ReLU()] if n else [dense, ReLU()]
-            prev = config.width
+        layers = [Flatten()]
+        weighted, c_prev = Dense, int(np.prod(config.input_shape))
+    w = config.width
+    # a residual net of odd depth starts with one plain stem layer
+    plain = config.depth % 2 if config.residual else config.depth
+    for d in range(plain):
+        layer = weighted(c_prev, w, next(rngs), config.init, f"{config.kind}{d}")
+        n = norm_factory(w, f"norm{d}")
+        layers += [layer, n, ReLU()] if n else [layer, ReLU()]
+        c_prev = w
+    for bi in range((config.depth - plain) // 2):
+        layers.append(ResidualBlock(
+            c_prev, w, next(rngs), next(rngs), config.init, norm_factory, f"block{bi}"
+        ))
+        c_prev = w
     if config.placement == "final_only" and config.norm != "none":
         layers.append(_make_norm(config, config.width, "norm_final"))
     if config.kind == "conv":

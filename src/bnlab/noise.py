@@ -15,11 +15,15 @@ can be compared against the Monte-Carlo estimate rather than silently
 reconciled.
 
 A GradientSet forms g_bar and every ||Delta_i||^2 when it is built; C and
-the closed form are then sums over that vector.
+the closed form are then sums over that vector. noise_table reports every
+(lr, batch size) cell as a NoiseRow, whose fields are noise.csv's columns:
+it draws each (batch size, mode) once at lr = 1 (empirical_sgd_noise) and
+scales by lr^2 last.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,10 +44,7 @@ class GradientSet:
     `matrix` is a read-only view of the array passed in (which the caller
     must not write to afterwards). The constructor also forms the mean
     gradient `mean` and each deviation's squared norm `square_norms`,
-    ||Delta_i||^2, over blocks of rows, so no N x P deviations copy is held;
-    `draws` keeps the per-trial squared norms of each Monte-Carlo cell drawn
-    on the set. A table over many (lr, batch size) cells thus does the
-    lr-free work once.
+    ||Delta_i||^2, over blocks of rows, so no N x P deviations copy is held.
     """
 
     def __init__(self, matrix: Array):
@@ -60,8 +61,6 @@ class GradientSet:
             d = m[s : s + _ROW_BLOCK] - self.mean
             self.square_norms[s : s + _ROW_BLOCK] = np.einsum("ij,ij->i", d, d)
         self.square_norms.flags.writeable = False
-        # per-trial squared norms keyed by (batch_size, trials, seed, mode)
-        self.draws: dict[tuple, Array] = {}
 
 
 def per_example_gradients(net, x: Array, labels: Array, batch_size: int = 128) -> GradientSet:
@@ -131,27 +130,18 @@ def closed_form_noise(gradients: GradientSet, lr: float, batch_size: int) -> flo
     return lr * lr * (n - batch_size) / (batch_size * n * n) * total
 
 
-@dataclass(frozen=True)
-class EmpiricalNoise:
-    estimate: float
-    std_err: float
-
-
 def empirical_sgd_noise(
     gradients: GradientSet,
-    lr: float,
     batch_size: int,
     trials: int,
     seed: int,
     mode: str = "with_replacement",
-) -> EmpiricalNoise:
-    """Monte-Carlo estimate of the squared minibatch step deviation.
+) -> Array:
+    """Per-trial squared norms of the minibatch step deviation at lr = 1.
 
-    A trial's deviation is the mean of its drawn rows minus g_bar. The
-    per-trial squared norms are drawn once per (batch_size, trials, seed,
-    mode) and kept in `gradients.draws`; the lr^2 factor multiplies their average
-    at the end, so estimates for two learning rates on the same seed differ
-    by exactly (lr1/lr2)^2.
+    A trial's deviation is the mean of its drawn rows minus g_bar; the
+    returned array is read-only. At any lr the step deviation is lr times
+    this one, so one draw serves every learning rate.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
@@ -162,61 +152,65 @@ def empirical_sgd_noise(
         raise SizeError(f"cannot draw {batch_size} of {n} examples without replacement")
     if trials < 1:
         raise SizeError(f"trials must be >= 1, got {trials}")
-    key = (batch_size, trials, seed, mode)
-    per_trial = gradients.draws.get(key)
-    if per_trial is None:
-        per_trial = np.zeros(trials)
-        # Without replacement at b = N every trial takes the whole set, whose mean
-        # deviation is 0 by definition; drawing it would leave only rounding noise.
-        if mode == "with_replacement" or batch_size < n:
-            rows, mean = gradients.matrix, gradients.mean
-            gen = SeededRng(seed).generator()
-            for t in range(trials):
-                if mode == "with_replacement":
-                    idx = gen.integers(0, n, size=batch_size)
-                else:
-                    idx = gen.permutation(n)[:batch_size]
-                diff = rows[idx].mean(axis=0)
-                diff -= mean
-                per_trial[t] = float(diff @ diff)
-        per_trial.flags.writeable = False
-        gradients.draws[key] = per_trial
-    scale = lr * lr
-    estimate = scale * float(np.mean(per_trial))
-    if trials >= 2:
-        std_err = scale * float(np.std(per_trial, ddof=1)) / np.sqrt(trials)
-    else:
-        std_err = float("nan")
-    return EmpiricalNoise(estimate=estimate, std_err=std_err)
+    per_trial = np.zeros(trials)
+    # Without replacement at b = N every trial takes the whole set, whose mean
+    # deviation is 0 by definition; drawing it would leave only rounding noise.
+    if mode == "with_replacement" or batch_size < n:
+        rows, mean = gradients.matrix, gradients.mean
+        gen = SeededRng(seed).generator()
+        for t in range(trials):
+            if mode == "with_replacement":
+                idx = gen.integers(0, n, size=batch_size)
+            else:
+                idx = gen.permutation(n)[:batch_size]
+            diff = rows[idx].mean(axis=0)
+            diff -= mean
+            per_trial[t] = float(diff @ diff)
+    per_trial.flags.writeable = False
+    return per_trial
 
 
-@dataclass(frozen=True)
-class NoiseEstimate:
+class NoiseRow(NamedTuple):
+    """One (lr, batch size) cell of the noise table; the fields are the
+    columns of noise.csv. Each Monte Carlo pair is lr^2 times the mean of
+    the cell's per-trial draws, and its standard error."""
+
+    lr: float
+    batch_size: int
     noise_constant: float
     bound: float  # lr^2 C / b
     closed_form: float  # lr^2 C (N - b) / (b N)
-    with_replacement: EmpiricalNoise
-    without_replacement: EmpiricalNoise
+    mc_with_estimate: float
+    mc_with_std_err: float
+    mc_without_estimate: float
+    mc_without_std_err: float
 
 
-def noise_summary(
-    gradients: GradientSet,
-    lr: float,
-    batch_size: int,
-    *,
-    trials: int,
-    seed: int,
-) -> NoiseEstimate:
-    """All noise quantities for one (lr, batch size) pair in one report."""
+def _scaled_mean(per_trial: Array, scale: float) -> tuple[float, float]:
+    """scale times the mean of per_trial, and its standard error (nan for one trial)."""
+    estimate = scale * float(np.mean(per_trial))
+    if per_trial.size < 2:
+        return estimate, float("nan")
+    return estimate, scale * float(np.std(per_trial, ddof=1)) / np.sqrt(per_trial.size)
+
+
+def noise_table(gradients: GradientSet, lrs, batch_sizes, *, trials: int,
+                seed: int) -> list[NoiseRow]:
+    """Every (lr, batch size) cell, lr-major. Each (batch size, mode) is
+    drawn once, on the one seed, and every lr scales those same draws by
+    lr^2 last."""
     c = noise_constant(gradients)
-    return NoiseEstimate(
-        noise_constant=c,
-        bound=sgd_noise_bound(c, lr, batch_size),
-        closed_form=closed_form_noise(gradients, lr, batch_size),
-        with_replacement=empirical_sgd_noise(
-            gradients, lr, batch_size, trials, seed, "with_replacement"
-        ),
-        without_replacement=empirical_sgd_noise(
-            gradients, lr, batch_size, trials, seed, "without_replacement"
-        ),
-    )
+    draws = {b: [empirical_sgd_noise(gradients, b, trials, seed, mode) for mode in MODES]
+             for b in batch_sizes}
+    return [NoiseRow(lr, b, c, sgd_noise_bound(c, lr, b), closed_form_noise(gradients, lr, b),
+                     *_scaled_mean(draws[b][0], lr * lr), *_scaled_mean(draws[b][1], lr * lr))
+            for lr in lrs for b in batch_sizes]
+
+
+def noise_summary(gradients: GradientSet, lr: float, batch_size: int, *, trials: int,
+                  seed: int) -> SimpleNamespace:
+    """The one-cell noise_table with each Monte Carlo (estimate, std_err) pair
+    nested under its mode, the shape bench/tests/test_bench_checks.py reads."""
+    r = noise_table(gradients, [lr], [batch_size], trials=trials, seed=seed)[0]
+    pairs = [SimpleNamespace(estimate=e, std_err=se) for e, se in (r[5:7], r[7:9])]
+    return SimpleNamespace(**r._asdict(), **dict(zip(MODES, pairs)))

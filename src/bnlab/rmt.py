@@ -21,6 +21,7 @@ so no bnlab command loads SciPy.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -225,17 +226,19 @@ def sample_product_spectrum(m: int, n: int, trials: int, seed: int) -> SpectrumS
     return sample_product_spectra([m], n, trials, seed)[0]
 
 
-@dataclass(frozen=True)
-class ConditionEntry:
+class ConditionEntry(NamedTuple):
+    """One trial's row of condition.csv."""
+
     m: int
     trial: int
     kappa: float  # sqrt(lambda_max / lambda_min)
     sigma_max: float  # sqrt(lambda_max)
-    saturated: bool  # lambda_min below the representable floor
+    saturated: int  # 1 when lambda_min is below the representable floor, else 0
 
 
-@dataclass(frozen=True)
-class ConditionSummary:
+class ConditionSummary(NamedTuple):
+    """One M's row of condition_summary.csv."""
+
     m: int
     median_kappa: float
     mean_kappa: float
@@ -254,35 +257,28 @@ def condition_report(samples: list[SpectrumSample]) -> ConditionReport:
     """Condition numbers and largest singular values, per trial and summarized.
 
     Trials whose smallest eigenvalue falls below 1e-300 cannot yield a
-    meaningful condition number in float64; they are flagged saturated and
-    excluded from the per-M aggregates.
+    meaningful condition number in float64; they are flagged saturated, get
+    kappa = inf, and are left out of the per-M aggregates. An M whose every
+    trial saturated has inf kappa aggregates and takes its sigma_max
+    aggregates over all trials.
     """
-    entries = []
-    summaries = []
+    entries, summaries = [], []
     for s in samples:
-        kappas, smaxes_ok, smaxes_all = [], [], []
-        sat = 0
-        for t, lam in enumerate(s.per_trial):
-            lam_min, lam_max = float(lam[0]), float(lam[-1])
-            smax = float(np.sqrt(lam_max))
-            smaxes_all.append(smax)
-            if lam_min < SATURATION_FLOOR:
-                entries.append(ConditionEntry(s.m, t, float("inf"), smax, True))
-                sat += 1
-                continue
-            kappa = float(np.sqrt(lam_max / lam_min))
-            entries.append(ConditionEntry(s.m, t, kappa, smax, False))
-            kappas.append(kappa)
-            smaxes_ok.append(smax)
-        smaxes = smaxes_ok if smaxes_ok else smaxes_all
-        summaries.append(
-            ConditionSummary(
-                m=s.m,
-                median_kappa=float(np.median(kappas)) if kappas else float("inf"),
-                mean_kappa=float(np.mean(kappas)) if kappas else float("inf"),
-                median_sigma_max=float(np.median(smaxes)),
-                mean_sigma_max=float(np.mean(smaxes)),
-                saturated_trials=sat,
-            )
-        )
+        lam_min, lam_max = s.per_trial[:, 0], s.per_trial[:, -1]
+        saturated = lam_min < SATURATION_FLOOR
+        ok = ~saturated
+        kappa = np.full(lam_min.shape, np.inf)
+        np.sqrt(np.divide(lam_max, lam_min, out=kappa, where=ok), out=kappa)
+        smax = np.sqrt(lam_max)
+        entries += [ConditionEntry(s.m, t, *row) for t, row in enumerate(
+            zip(kappa.tolist(), smax.tolist(), saturated.astype(int).tolist()))]
+        kappas, smaxes = kappa[ok], smax[ok] if ok.any() else smax
+        summaries.append(ConditionSummary(
+            m=s.m,
+            median_kappa=float(np.median(kappas)) if kappas.size else float("inf"),
+            mean_kappa=float(np.mean(kappas)) if kappas.size else float("inf"),
+            median_sigma_max=float(np.median(smaxes)),
+            mean_sigma_max=float(np.mean(smaxes)),
+            saturated_trials=int(saturated.sum()),
+        ))
     return ConditionReport(entries=tuple(entries), summaries=tuple(summaries))

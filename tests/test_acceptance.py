@@ -34,7 +34,7 @@ from bnlab.nn import (
     build_network,
     softmax_xent,
 )
-from bnlab.noise import GradientSet, noise_summary
+from bnlab.noise import GradientSet, noise_table
 from bnlab.rmt import (
     FussCatalanDensity,
     condition_report,
@@ -206,15 +206,14 @@ def test_criterion_06_sgd_noise():
         float(((toy.matrix[[i, j]].mean(axis=0) - mean_g) ** 2).sum())
         for i, j in pairs
     ])
-    s = noise_summary(toy, lr=1.0, batch_size=2, trials=100_000, seed=5)
+    (s,) = noise_table(toy, [1.0], [2], trials=100_000, seed=5)
     exact_ok = (
         enum == 1.75
         and s.noise_constant == 3.5
         and s.bound == 1.75
         and s.closed_form == 0.875
     )
-    mc = s.with_replacement
-    mc_ok = abs(mc.estimate - 1.75) <= 4 * mc.std_err
+    mc_ok = abs(s.mc_with_estimate - 1.75) <= 4 * s.mc_with_std_err
 
     gen = SeededRng(21).generator()
     X = gen.normal(size=(100, 8))
@@ -223,19 +222,17 @@ def test_criterion_06_sgd_noise():
     resid = X @ gen.normal(size=8) - y
     gs = GradientSet(resid[:, None] * X)
     bound_ok = True
-    for lr in (0.1, 1.0):
-        for b in (1, 5, 25):
-            r = noise_summary(gs, lr, b, trials=20_000, seed=3)
-            bound_ok &= r.closed_form <= r.bound
-            bound_ok &= abs(r.with_replacement.estimate - r.bound) <= 4 * r.with_replacement.std_err
-            bound_ok &= r.without_replacement.estimate <= r.bound + 4 * r.without_replacement.std_err
-    hi = noise_summary(gs, 1.0, 5, trials=2_000, seed=9)
-    lo = noise_summary(gs, 0.1, 5, trials=2_000, seed=9)
-    ratio = hi.with_replacement.estimate / lo.with_replacement.estimate
+    for r in noise_table(gs, (0.1, 1.0), (1, 5, 25), trials=20_000, seed=3):
+        bound_ok &= r.closed_form <= r.bound
+        bound_ok &= abs(r.mc_with_estimate - r.bound) <= 4 * r.mc_with_std_err
+        bound_ok &= r.mc_without_estimate <= r.bound + 4 * r.mc_without_std_err
+    hi, lo = noise_table(gs, (1.0, 0.1), (5,), trials=2_000, seed=9)
+    ratio = hi.mc_with_estimate / lo.mc_with_estimate
     ratio_ok = abs(ratio - 100.0) <= 1.0
 
     _report(6, "sgd-noise", exact_ok and mc_ok and bound_ok and ratio_ok,
-            f"enum={enum}, mc={mc.estimate:.4f}±{mc.std_err:.4f}, alpha ratio={ratio:.10f}")
+            f"enum={enum}, mc={s.mc_with_estimate:.4f}±{s.mc_with_std_err:.4f}, "
+            f"alpha ratio={ratio:.10f}")
 
 
 _DIVERGENCE_CFG = """

@@ -5,6 +5,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bnlab
 from bnlab.harness import config as config_module
 from bnlab.harness.cli import _DISPATCH, main
 from bnlab.harness.config import DATASET_KINDS
@@ -492,7 +495,10 @@ class TestAnalysisCommands:
         assert main(["rmt-condition", "--config", config_path, "--out", out]) == 0
         summary = _csv_rows(os.path.join(out, "condition_summary.csv"))
         assert [r[0] for r in summary[1:]] == ["1", "2"]
+        assert summary[0] == ["m", "median_kappa", "mean_kappa", "median_sigma_max",
+                              "mean_sigma_max", "saturated_trials"]
         entries = _csv_rows(os.path.join(out, "condition.csv"))
+        assert entries[0] == ["m", "trial", "kappa", "sigma_max", "saturated"]
         assert len(entries) == 1 + 2 * 2
 
     def test_rmt_condition_equals_per_m_samples(self, tmp_path):
@@ -503,13 +509,10 @@ class TestAnalysisCommands:
         out = str(tmp_path / "cond")
         assert main(["rmt-condition", "--config", str(p), "--out", out]) == 0
         report = condition_report([sample_product_spectrum(m, 8, 3, 5) for m in (4, 1, 2, 1)])
-        rows = _csv_rows(os.path.join(out, "condition.csv"))[1:]
-        assert [(int(m), int(t), float(k), float(s), int(sat)) for m, t, k, s, sat in rows] == [
-            (e.m, e.trial, e.kappa, e.sigma_max, int(e.saturated)) for e in report.entries]
-        summary = _csv_rows(os.path.join(out, "condition_summary.csv"))[1:]
-        assert [tuple(map(float, r)) for r in summary] == [
-            (s.m, s.median_kappa, s.mean_kappa, s.median_sigma_max, s.mean_sigma_max,
-             s.saturated_trials) for s in report.summaries]
+        for name, table in (("condition.csv", report.entries),
+                            ("condition_summary.csv", report.summaries)):
+            rows = _csv_rows(os.path.join(out, name))[1:]
+            assert [tuple(map(float, r)) for r in rows] == [tuple(e) for e in table]
 
     def test_noise_bound_on_dense_bn(self, tmp_path):
         p = tmp_path / "c.cfg"
@@ -527,6 +530,9 @@ class TestAnalysisCommands:
         out = str(tmp_path / "noise")
         assert main(["noise-bound", "--config", config_path, "--out", out]) == 0
         rows = _csv_rows(os.path.join(out, "noise.csv"))
+        assert rows[0] == ["lr", "batch_size", "noise_constant", "bound", "closed_form",
+                           "mc_with_estimate", "mc_with_std_err",
+                           "mc_without_estimate", "mc_without_std_err"]
         assert len(rows) == 1 + 2 * 2  # two lrs x two batch sizes
         for row in rows[1:]:
             bound, closed = float(row[3]), float(row[4])
@@ -567,3 +573,41 @@ class TestAnalysesMatchTraining:
             assert all(line.startswith("0,") for line in lines[1:])
             without_step = "".join(line.split(",", 1)[1] + "\n" for line in lines)
             assert (cli_out / filename).read_text() == without_step, command
+
+
+BLAS_CFG = """
+network.depth = 2
+network.width = 8
+dataset.classes = 4
+dataset.per_class = 16
+train.batch_size = 16
+noise.examples = 64
+noise.batch_sizes = 1, 8, 64
+noise.lrs = 0.1, 1.0
+noise.trials = 200
+rmt.m_list = 1, 2, 4
+rmt.n = 96
+rmt.trials = 3
+"""
+
+
+def test_csvs_do_not_depend_on_blas_threads(tmp_path):
+    # noise-bound and rmt-condition in one process with one BLAS thread and
+    # in another with two: every CSV they write is the same byte for byte
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(BLAS_CFG)
+    script = ("import sys\nfrom bnlab.harness.cli import main\n"
+              "for command in ('noise-bound', 'rmt-condition'):\n"
+              "    assert main([command, '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n")
+    src = os.path.dirname(os.path.dirname(bnlab.__file__))
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-c", script, str(cfg), str(out)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+    assert sorted(outs[0]) == ["condition.csv", "condition_summary.csv", "noise.csv"]
+    assert outs[0] == outs[1]

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bnlab import nn as nn_module
 from bnlab.errors import (
     CacheMismatchError,
     ConfigError,
@@ -1108,15 +1109,41 @@ class TestHoldContract:
         blocks = [l for l in net.layers if isinstance(l, ResidualBlock)]
         assert all(self._held(block) == set() for block in blocks)
         for layers in [net.layers] + [block.branch() for block in blocks]:
-            def after_norm(i):  # a ReLU right after a norm
+            def after_norm(i):  # a ReLU right after a norm, feeding no residual block
                 return (i > 0 and isinstance(layers[i], ReLU)
-                        and isinstance(layers[i - 1], GeneralizedNorm))
+                        and isinstance(layers[i - 1], GeneralizedNorm)
+                        and not isinstance(layers[i + 1], ResidualBlock))
 
             for i, l in enumerate(layers):
                 allowed = self.ALLOWED[type(l)]
                 if after_norm(i) or isinstance(l, (Conv3x3, Dense)) and after_norm(i - 1):
                     allowed = set()  # the backward rebuilt and dropped the ReLU's output
                 assert self._held(l) == allowed, getattr(l, "name", type(l).__name__)
+        if blocks and cfg.depth % 2:
+            # the stem ReLU's output is the first block's input: one array, kept once
+            stem_relu = net.layers[net.layers.index(blocks[0]) - 1]
+            assert stem_relu.last_out is blocks[0].conv1.last_in
+
+    @pytest.mark.parametrize("depth, rebuilds", [(5, 2), (4, 2), (3, 1), (8, 8)])
+    def test_each_dropped_relu_output_is_rebuilt_once_per_step(self, monkeypatch, depth,
+                                                                  rebuilds):
+        # a residual net rebuilds one ReLU output per block (an odd depth's stem
+        # ReLU feeds a block, keeps its output and is never rebuilt); a plain
+        # one, one per layer
+        rebuilt = []
+        drop_or_rebuild = nn_module._relu_output
+
+        def counted(layers, i, rebuild):
+            rebuilt.append(rebuild)
+            drop_or_rebuild(layers, i, rebuild)
+
+        monkeypatch.setattr(nn_module, "_relu_output", counted)
+        cfg = NetworkConfig(depth=depth, residual=depth < 8, width=4, class_count=2,
+                            input_shape=(2, 3, 3))
+        net = build_network(cfg, SeededRng(42))
+        gen = SeededRng(43).generator()
+        net.loss_and_grad(gen.normal(size=(self.B, 2, 3, 3)), gen.integers(0, 2, size=self.B))
+        assert rebuilt.count(True) == rebuilds
 
     @staticmethod
     def _plain_depth_eight_step(norm, placement):

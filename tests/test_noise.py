@@ -19,12 +19,14 @@ from bnlab.errors import SizeError
 from bnlab.harness.cli import _init_state
 from bnlab.harness.config import ExperimentConfig, parse_config_file
 from bnlab.nn import BnComponents, NetworkConfig, build_network
+from bnlab import noise
 from bnlab.noise import (
     GradientSet,
     closed_form_noise,
     empirical_sgd_noise,
     noise_constant,
     noise_summary,
+    noise_table,
     per_example_gradients,
     sgd_noise_bound,
 )
@@ -131,17 +133,15 @@ class TestEmpiricalNoise:
         # exhaustive enumeration over all 16 ordered pairs
         exact = enumerate_noise(TOY.matrix, 2, replacement=True)
         assert exact == 1.75
-        est = empirical_sgd_noise(TOY, 1.0, 2, trials=40000, seed=1)
-        assert abs(est.estimate - exact) < max(5 * est.std_err, 0.05)
+        (r,) = noise_table(TOY, [1.0], [2], trials=40000, seed=1)
+        assert abs(r.mc_with_estimate - exact) < max(5 * r.mc_with_std_err, 0.05)
 
     def test_without_replacement_expectation(self):
         # 6 unordered pairs; finite-population correction (N-b)/(N-1)
         exact = enumerate_noise(TOY.matrix, 2, replacement=False)
         assert_allclose(exact, 3.5 * (4 - 2) / (2 * (4 - 1)), rtol=1e-14)
-        est = empirical_sgd_noise(
-            TOY, 1.0, 2, trials=40000, seed=2, mode="without_replacement"
-        )
-        assert abs(est.estimate - exact) < max(5 * est.std_err, 0.05)
+        (r,) = noise_table(TOY, [1.0], [2], trials=40000, seed=2)
+        assert abs(r.mc_without_estimate - exact) < max(5 * r.mc_without_std_err, 0.05)
 
     def test_enumeration_matches_formula_on_random_set(self):
         gen = SeededRng(8).generator()
@@ -156,45 +156,46 @@ class TestEmpiricalNoise:
     def test_full_batch_without_replacement_is_exactly_zero(self):
         # the float set's deviations have column means off 0 by rounding
         for gradients in (TOY, GradientSet(SeededRng(0).generator().normal(size=(8, 5)))):
-            est = empirical_sgd_noise(
-                gradients, 1.0, gradients.n, trials=50, seed=3, mode="without_replacement"
+            per_trial = empirical_sgd_noise(
+                gradients, gradients.n, trials=50, seed=3, mode="without_replacement"
             )
-            assert est.estimate == 0.0
+            assert per_trial.tolist() == [0.0] * 50
+            (r,) = noise_table(gradients, [1.0], [gradients.n], trials=50, seed=3)
+            assert r.mc_without_estimate == 0.0
 
     def test_lr_enters_only_as_a_final_factor(self):
-        # same seed -> identical minibatch draws, so the lr^2 scaling is a
-        # single float multiply on a shared Monte-Carlo mean
-        unit = empirical_sgd_noise(TOY, 1.0, 2, trials=100, seed=5)
-        a = empirical_sgd_noise(TOY, 0.3, 2, trials=100, seed=5)
-        b = empirical_sgd_noise(TOY, 0.1, 2, trials=100, seed=5)
-        assert a.estimate == 0.3 * 0.3 * unit.estimate
-        assert b.estimate == 0.1 * 0.1 * unit.estimate
-        assert_allclose(a.estimate / b.estimate, 9.0, rtol=1e-14)
+        # one draw per batch size, so the lr^2 scaling is a single float
+        # multiply on a shared Monte-Carlo mean
+        unit, a, b = noise_table(TOY, [1.0, 0.3, 0.1], [2], trials=100, seed=5)
+        assert a.mc_with_estimate == 0.3 * 0.3 * unit.mc_with_estimate
+        assert b.mc_with_estimate == 0.1 * 0.1 * unit.mc_with_estimate
+        assert_allclose(a.mc_with_estimate / b.mc_with_estimate, 9.0, rtol=1e-14)
 
-    def test_reproducible(self):
-        a = empirical_sgd_noise(TOY, 1.0, 2, trials=64, seed=7)
-        b = empirical_sgd_noise(TOY, 1.0, 2, trials=64, seed=7)
-        assert a == b
+    def test_reproducible_and_read_only(self):
+        a = empirical_sgd_noise(TOY, 2, trials=64, seed=7)
+        b = empirical_sgd_noise(TOY, 2, trials=64, seed=7)
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
 
     def test_single_trial_has_nan_std_err(self):
-        est = empirical_sgd_noise(TOY, 1.0, 2, trials=1, seed=0)
-        assert np.isnan(est.std_err)
+        (r,) = noise_table(TOY, [1.0], [2], trials=1, seed=0)
+        assert np.isnan(r.mc_with_std_err) and np.isnan(r.mc_without_std_err)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            empirical_sgd_noise(TOY, 1.0, 2, trials=4, seed=0, mode="bootstrap")
+            empirical_sgd_noise(TOY, 2, trials=4, seed=0, mode="bootstrap")
         with pytest.raises(SizeError):
-            empirical_sgd_noise(TOY, 1.0, 0, trials=4, seed=0)
+            empirical_sgd_noise(TOY, 0, trials=4, seed=0)
         with pytest.raises(SizeError):
-            empirical_sgd_noise(TOY, 1.0, 5, trials=4, seed=0, mode="without_replacement")
+            empirical_sgd_noise(TOY, 5, trials=4, seed=0, mode="without_replacement")
         with pytest.raises(SizeError):
-            empirical_sgd_noise(TOY, 1.0, 2, trials=0, seed=0)
+            empirical_sgd_noise(TOY, 2, trials=0, seed=0)
         # oversampling is fine with replacement
-        empirical_sgd_noise(TOY, 1.0, 9, trials=4, seed=0)
+        empirical_sgd_noise(TOY, 9, trials=4, seed=0)
 
 
 def loop_summary(matrix, lr, batch_size, trials, seed):
-    """noise_summary's fields from their definitions by the plain per-trial
+    """A noise_table cell's fields from their definitions by the plain per-trial
     loop, nothing shared: C and sum_i ||Delta_i||^2 from the squared norms of
     the rows Delta_i = g_i - g_bar, and per trial the squared norm of the
     drawn rows' mean minus g_bar."""
@@ -235,23 +236,41 @@ def _rel(got, want):
     return abs(got - want) / abs(want) if want else abs(got)
 
 
-class TestNoiseSummary:
+MC_FIELDS = {"with_replacement": ("mc_with_estimate", "mc_with_std_err"),
+             "without_replacement": ("mc_without_estimate", "mc_without_std_err")}
+
+
+class TestNoiseTable:
     @pytest.mark.parametrize("lrs", [(0.1, 1.0, 0.03), (0.03, 1.0, 0.1)])
     def test_cells_equal_the_per_trial_loop(self, lrs):
-        # one set serves every cell, as in noise-bound; cached draws and
-        # moments must give the loop's values bit for bit in any lr order
+        # one set and one draw per (batch size, mode) serve every cell, as in
+        # noise-bound; the rows must give the loop's values bit for bit, lr-major
         m = SeededRng(21).generator().normal(size=(7, 5))
-        gs = GradientSet(m)
-        for lr in lrs:
-            for b in (1, 7):
-                s = noise_summary(gs, lr=lr, batch_size=b, trials=50, seed=4)
-                ref = loop_summary(m, lr, b, trials=50, seed=4)
-                assert s.noise_constant == ref["noise_constant"]
-                assert s.bound == ref["bound"]
-                assert s.closed_form == ref["closed_form"]
-                for mode in ("with_replacement", "without_replacement"):
-                    est = getattr(s, mode)
-                    assert (est.estimate, est.std_err) == ref[mode]
+        rows = noise_table(GradientSet(m), lrs, (1, 7), trials=50, seed=4)
+        assert [(r.lr, r.batch_size) for r in rows] == list(itertools.product(lrs, (1, 7)))
+        for r in rows:
+            ref = loop_summary(m, r.lr, r.batch_size, trials=50, seed=4)
+            assert r.noise_constant == ref["noise_constant"]
+            assert r.bound == ref["bound"]
+            assert r.closed_form == ref["closed_form"]
+            for mode, (estimate, std_err) in MC_FIELDS.items():
+                assert (getattr(r, estimate), getattr(r, std_err)) == ref[mode]
+
+    def test_draws_once_per_batch_size_and_mode(self, monkeypatch):
+        calls = []
+        draw = noise.empirical_sgd_noise
+
+        def counted(gradients, batch_size, trials, seed, mode):
+            calls.append((batch_size, mode))
+            return draw(gradients, batch_size, trials, seed, mode)
+
+        monkeypatch.setattr(noise, "empirical_sgd_noise", counted)
+        gs = GradientSet(SeededRng(24).generator().normal(size=(6, 3)))
+        for lrs in ([1.0], [0.1, 0.3, 1.0, 3.0]):
+            calls.clear()
+            rows = noise_table(gs, lrs, (1, 2, 6), trials=5, seed=0)
+            assert len(rows) == 3 * len(lrs)
+            assert sorted(calls) == sorted(itertools.product((1, 2, 6), noise.MODES))
 
     @pytest.mark.parametrize("mode", ["with_replacement", "without_replacement"])
     def test_cells_match_the_explicit_deviations(self, mode):
@@ -259,12 +278,12 @@ class TestNoiseSummary:
         # deviation matrix and averages its drawn rows
         n, lr = 200, 0.1
         m = SeededRng(22).generator().normal(0.3, 1.0, size=(n, 30))
-        gs = GradientSet(m)
         d = m - m.mean(axis=0)
         c = float(np.mean(np.einsum("ij,ij->i", d, d)))
         total = float(np.einsum("ij,ij->", d, d))
-        for b in (1, 4, 64, n):
-            s = noise_summary(gs, lr=lr, batch_size=b, trials=40, seed=6)
+        estimate, std_err = MC_FIELDS[mode]
+        for s in noise_table(GradientSet(m), [lr], (1, 4, 64, n), trials=40, seed=6):
+            b = s.batch_size
             assert _rel(s.noise_constant, c) <= 1e-14
             assert _rel(s.closed_form, lr * lr * (n - b) / (b * n * n) * total) <= 1e-14
             gen = SeededRng(6).generator()
@@ -277,9 +296,9 @@ class TestNoiseSummary:
                         idx = gen.permutation(n)[:b]
                     diff = d[idx].mean(axis=0)
                     per_trial[t] = diff @ diff
-            est = getattr(s, mode)
-            assert _rel(est.estimate, lr * lr * np.mean(per_trial)) <= 1e-14
-            assert _rel(est.std_err, lr * lr * np.std(per_trial, ddof=1) / np.sqrt(40)) <= 1e-14
+            assert _rel(getattr(s, estimate), lr * lr * np.mean(per_trial)) <= 1e-14
+            assert _rel(getattr(s, std_err),
+                        lr * lr * np.std(per_trial, ddof=1) / np.sqrt(40)) <= 1e-14
 
     def test_a_table_adds_less_than_one_copy_of_the_rows(self):
         # building the set forms vectors beside its rows, over 128-row blocks;
@@ -287,23 +306,27 @@ class TestNoiseSummary:
         m = SeededRng(23).generator().normal(size=(300, 400))
 
         def table():
-            gs = GradientSet(m)
-            for lr in (0.01, 1.0):
-                for b in (1, 4, 64):
-                    noise_summary(gs, lr=lr, batch_size=b, trials=20, seed=0)
+            noise_table(GradientSet(m), (0.01, 1.0), (1, 4, 64), trials=20, seed=0)
 
         _, added = numpy_held_and_peak(table)
         assert added < m.nbytes
 
-    def test_toy_summary(self):
-        s = noise_summary(TOY, lr=1.0, batch_size=2, trials=20000, seed=11)
+    def test_toy_table(self):
+        (s,) = noise_table(TOY, [1.0], [2], trials=20000, seed=11)
         assert s.noise_constant == 3.5
         assert s.bound == 1.75
         assert s.closed_form == 0.875
-        assert abs(s.with_replacement.estimate - 1.75) < 0.06
-        assert abs(s.without_replacement.estimate - 7.0 / 6.0) < 0.06
+        assert abs(s.mc_with_estimate - 1.75) < 0.06
+        assert abs(s.mc_without_estimate - 7.0 / 6.0) < 0.06
         # the closed form sits below the without-replacement truth
-        assert s.closed_form < s.without_replacement.estimate
+        assert s.closed_form < s.mc_without_estimate
+
+    def test_noise_summary_nests_the_one_cell_row(self):
+        (r,) = noise_table(TOY, [0.5], [3], trials=30, seed=2)
+        s = noise_summary(TOY, 0.5, 3, trials=30, seed=2)
+        assert (s.noise_constant, s.bound, s.closed_form) == r[2:5]
+        assert (s.with_replacement.estimate, s.with_replacement.std_err) == r[5:7]
+        assert (s.without_replacement.estimate, s.without_replacement.std_err) == r[7:9]
 
 
 class TestPerExampleGradients:

@@ -310,6 +310,19 @@ class TestConditionReport:
         assert summ.saturated_trials == 1
         assert_allclose(summ.median_sigma_max, 1.0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_saturated_trials_warn_nothing(self):
+        # a zero and a subnormal smallest eigenvalue: dividing by them would
+        # raise divide and overflow warnings, made errors here
+        rep = condition_report([self._sample(1, [[0.0, 4.0], [1.0, 9.0]]),
+                                self._sample(2, [[0.0, 1.0], [1e-320, 16.0]])])
+        inf = float("inf")
+        assert [tuple(e) for e in rep.entries] == [
+            (1, 0, inf, 2.0, 1), (1, 1, 3.0, 3.0, 0), (2, 0, inf, 1.0, 1), (2, 1, inf, 4.0, 1)]
+        # an all-saturated M takes its sigma_max aggregates over every trial
+        assert [tuple(s) for s in rep.summaries] == [
+            (1, 3.0, 3.0, 3.0, 3.0, 1), (2, inf, inf, 2.5, 2.5, 2)]
+
     def test_conditioning_worsens_with_more_factors(self):
         shallow = sample_product_spectrum(1, 48, trials=5, seed=13)
         deep = sample_product_spectrum(4, 48, trials=5, seed=13)
