@@ -6,11 +6,13 @@ of which training recomputes from scratch each step), but it never changes
 parameter values, normalization statistics, or counters. A training run with
 instruments attached therefore follows a bit-identical parameter trajectory
 to one without. INSTRUMENTS, at the end, gives each scheduled instrument
-its one table.
+its one table. The moments, histogram, coherence, mean_grad and
+channel_grads rows are NamedTuples whose fields are the table's columns.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,19 +28,11 @@ RATIO_SATURATION = 1e12
 # activation moments
 
 
-@dataclass(frozen=True)
-class LayerMoments:
-    label: str
-    means: Array  # per channel
-    variances: Array  # per channel
-
-    @property
-    def mean_variance(self) -> float:
-        return float(self.variances.mean())
-
-    @property
-    def mean_abs_mean(self) -> float:
-        return float(np.abs(self.means).mean())
+class LayerMoments(NamedTuple):
+    """A moments.csv row: the channel moments of one conv or dense output."""
+    layer: str
+    mean_abs_mean: float  # mean over channels of |channel mean|
+    mean_variance: float  # mean over channels of the channel variance
 
 
 @dataclass(frozen=True)
@@ -83,7 +77,9 @@ def depth_moment_profile(net: Network, x: Array) -> MomentProfile:
         # post-order: previous is the layer that ran last, whose output this one received
         nonlocal previous
         if isinstance(layer, (GeneralizedNorm, ReLU)) and isinstance(previous, (Conv3x3, Dense)):
-            read.append(LayerMoments(previous.name, *channel_moments(received)))
+            means, variances = channel_moments(received)
+            read.append(LayerMoments(previous.name, float(np.abs(means).mean()),
+                                     float(variances.mean())))
         previous = layer
 
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
@@ -101,7 +97,8 @@ class LossProbeCurve:
 
     relative[i] is loss(theta - alphas[i] * grad) / loss(theta); the entry
     for alpha = 0 is exactly 1.0 by construction. finite[i] records whether
-    the probed loss evaluated to a finite number.
+    the probed loss evaluated to a finite number; where it did not,
+    relative[i] is inf or nan.
     """
 
     alphas: Array
@@ -206,12 +203,12 @@ class DivergenceMonitor:
 # gradient distribution shape
 
 
-@dataclass(frozen=True)
-class GradientHistogramStats:
+class GradientHistogramStats(NamedTuple):
+    """A histogram.csv row after its layer column: one gradient sample's shape."""
     mean: float
     std: float
     excess_kurtosis: float  # nan when the variance underflows
-    tail_ratio: float  # p99.9 of |g| over median of |g|
+    tail_ratio: float  # p99.9 of |g| over median of |g|; inf when only the median is 0
     max_abs: float
 
 
@@ -231,36 +228,29 @@ def gradient_histogram_stats(grads: Array) -> GradientHistogramStats:
     med = float(np.median(a))
     p999 = float(np.quantile(a, 0.999))
     tail = p999 / med if med > 0 else (np.inf if p999 > 0 else 1.0)
-    return GradientHistogramStats(
-        mean=mean,
-        std=float(np.sqrt(m2)),
-        excess_kurtosis=kurt,
-        tail_ratio=float(tail),
-        max_abs=float(a.max()),
-    )
+    return GradientHistogramStats(mean, float(np.sqrt(m2)), kurt, float(tail), float(a.max()))
 
 
 # ---------------------------------------------------------------------------
 # sign coherence of kernel-gradient summands
 
 
-@dataclass(frozen=True)
-class CoherenceRow:
-    """Cancellation profile of one convolution's kernel gradient.
+class CoherenceRow(NamedTuple):
+    """A coherence.csv row: the cancellation profile of one convolution's kernel gradient.
 
     All four sums are averaged over the kernel parameters. abs_sum adds
-    |summand| over batch and position; net_abs is |sum of summands| (the
-    actual gradient magnitude); batch_partial first sums within each example,
-    spatial_partial first sums across the batch at fixed position. ratio is
+    |summand| over batch and position; batch_partial first sums within each
+    example, spatial_partial first sums across the batch at fixed position;
+    net_abs is |sum of summands| (the actual gradient magnitude). ratio is
     abs_sum / net_abs, saturated at 1e12; near 1 means the summands agree in
     sign, large means they cancel.
     """
 
     layer: str
     abs_sum: float
-    net_abs: float
     batch_partial: float
     spatial_partial: float
+    net_abs: float
     ratio: float
 
 
@@ -297,16 +287,8 @@ def sign_coherence(net: Network, x: Array, labels: Array) -> list[CoherenceRow]:
     for name, s in _reduce_conv_upstreams(net, x, labels, conv2d_summand_stats):
         a = float(s.abs_sum.mean())
         b = float(np.abs(s.total).mean())
-        rows.append(
-            CoherenceRow(
-                layer=name,
-                abs_sum=a,
-                net_abs=b,
-                batch_partial=float(s.batch_partial.mean()),
-                spatial_partial=float(s.spatial_partial.mean()),
-                ratio=_saturated_ratio(a, b),
-            )
-        )
+        rows.append(CoherenceRow(name, a, float(s.batch_partial.mean()),
+                                 float(s.spatial_partial.mean()), b, _saturated_ratio(a, b)))
     return rows
 
 
@@ -379,12 +361,12 @@ def classwise_gradient_split(net: Network, x: Array, labels: Array) -> list[Clas
 # activation level vs gradient magnitude, and channel bias gradients
 
 
-@dataclass(frozen=True)
-class MeanGradPair:
+class MeanGradPair(NamedTuple):
+    """A mean_grad.csv row: one (in, out) channel pair of a convolution."""
     layer: str
     in_channel: int
     out_channel: int
-    input_mean: float  # mean pre-ReLU activation of the in-channel
+    input_mean: float  # mean incoming activation of the in-channel
     grad_mag: float  # mean |kernel gradient| over the 3x3 offsets
 
 
@@ -409,26 +391,15 @@ def mean_vs_grad_pairs(net: Network, x: Array, labels: Array) -> list[MeanGradPa
 
     logits = net.forward(x, train=True, update_stats=False, visit=visit)
     net.backward(softmax_xent(logits, labels)[1])
-    pairs = []
-    for conv, means in feed_means.items():
-        mags = np.abs(conv.kernel.grad).mean(axis=(2, 3))  # [c_out, c_in]
-        c_out, c_in = mags.shape
-        for ci in range(c_in):
-            for co in range(c_out):
-                pairs.append(
-                    MeanGradPair(
-                        layer=conv.name,
-                        in_channel=ci,
-                        out_channel=co,
-                        input_mean=float(means[ci]),
-                        grad_mag=float(mags[co, ci]),
-                    )
-                )
-    return pairs
+    # the kernel's mean |gradient| is [c_out, c_in]: transposed, row ci holds in-channel ci's
+    return [MeanGradPair(conv.name, ci, co, float(means[ci]), float(mag))
+            for conv, means in feed_means.items()
+            for ci, mags in enumerate(np.abs(conv.kernel.grad).mean(axis=(2, 3)).T)
+            for co, mag in enumerate(mags)]
 
 
-@dataclass(frozen=True)
-class ChannelGradient:
+class ChannelGradient(NamedTuple):
+    """A channel_grads.csv row: one convolution output channel."""
     layer: str
     channel: int
     value: float  # |sum over batch and positions of the upstream gradient|
@@ -442,8 +413,7 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
     positions; its magnitude is reported per channel.
     """
     sums = _reduce_conv_upstreams(net, x, labels, lambda up, _: up.sum(axis=(0, 2, 3)))
-    return [ChannelGradient(layer=name, channel=c, value=float(abs(v)))
-            for name, s in sums for c, v in enumerate(s)]
+    return [ChannelGradient(name, c, float(abs(v))) for name, s in sums for c, v in enumerate(s)]
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +423,16 @@ def channel_gradients(net: Network, x: Array, labels: Array) -> list[ChannelGrad
 PROBE_ALPHAS = tuple([0.0] + list(np.geomspace(1e-5, 10.0, 25)))
 
 
-def _kernel_histograms(net: Network, batch) -> list[tuple[str, GradientHistogramStats]]:
-    """Distribution shape of each convolution kernel's gradient, from one
-    backward pass of its own over the batch."""
+def _kernel_histograms(net: Network, batch) -> list[tuple]:
+    """(name, *GradientHistogramStats) of each convolution kernel's gradient,
+    from one backward pass of its own over the batch."""
     net.loss_and_grad(*batch, update_stats=False)
-    return [(p.name, gradient_histogram_stats(p.grad)) for p in net.params() if p.value.ndim == 4]
+    return [(p.name, *gradient_histogram_stats(p.grad)) for p in net.params() if p.value.ndim == 4]
 
 
 # name -> (columns, measure(net, batch) -> result, rows(result)): each
-# instrument's one table. Training puts a step column in front of it, the
+# instrument's one table; rows picks it out of a heatmap, probe or classwise
+# result, which carries more. Training puts a step column in front of it, the
 # analysis subcommands write it for the initial network and batch, and
 # divergence capture writes the moments rows with a fraction column in
 # front. Config keys diagnostics.<name> fire in this order. The measures
@@ -469,22 +440,12 @@ def _kernel_histograms(net: Network, batch) -> list[tuple[str, GradientHistogram
 # here reaches every caller.
 INSTRUMENTS = {
     "moments": (
-        ("layer", "mean_abs_mean", "mean_variance"),
+        LayerMoments._fields,
         lambda net, batch: depth_moment_profile(net, batch[0]),
-        lambda prof: [(m.label, m.mean_abs_mean, m.mean_variance) for m in prof.layers],
+        lambda prof: prof.layers,
     ),
-    "histogram": (
-        ("layer", "mean", "std", "excess_kurtosis", "tail_ratio", "max_abs"),
-        _kernel_histograms,
-        lambda hists: [(name, s.mean, s.std, s.excess_kurtosis, s.tail_ratio, s.max_abs)
-                       for name, s in hists],
-    ),
-    "coherence": (
-        ("layer", "abs_sum", "batch_partial", "spatial_partial", "net_abs", "ratio"),
-        lambda net, batch: sign_coherence(net, *batch),
-        lambda rows: [(r.layer, r.abs_sum, r.batch_partial, r.spatial_partial, r.net_abs, r.ratio)
-                      for r in rows],
-    ),
+    "histogram": (("layer", *GradientHistogramStats._fields), _kernel_histograms, list),
+    "coherence": (CoherenceRow._fields, lambda net, batch: sign_coherence(net, *batch), list),
     "heatmap": (
         ("modal_column", "dominant_fraction"),
         lambda net, batch: class_grad_heatmap(net, *batch),
@@ -500,15 +461,8 @@ INSTRUMENTS = {
         lambda net, batch: classwise_gradient_split(net, *batch),
         lambda parts: [(p.class_index, float(np.linalg.norm(p.flat))) for p in parts],
     ),
-    "mean_grad": (
-        ("layer", "in_channel", "out_channel", "input_mean", "grad_mag"),
-        lambda net, batch: mean_vs_grad_pairs(net, *batch),
-        lambda pairs: [(p.layer, p.in_channel, p.out_channel, p.input_mean, p.grad_mag)
-                       for p in pairs],
-    ),
+    "mean_grad": (MeanGradPair._fields, lambda net, batch: mean_vs_grad_pairs(net, *batch), list),
     "channel_grads": (
-        ("layer", "channel", "value"),
-        lambda net, batch: channel_gradients(net, *batch),
-        lambda rows: [(r.layer, r.channel, r.value) for r in rows],
+        ChannelGradient._fields, lambda net, batch: channel_gradients(net, *batch), list,
     ),
 }

@@ -233,8 +233,8 @@ def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
             ev = leg.event
             written.append(_write_json(os.path.join(leg_dir, "divergence.json"), {
                 "step": ev.step,
-                "pre_loss": ev.pre_loss,
-                "post_loss": ev.post_loss,
+                "pre_loss": _json_float(ev.pre_loss),
+                "post_loss": _json_float(ev.post_loss),
                 "fractions": list(ev.fractions),
             }))
             cols, _, moment_rows = INSTRUMENTS["moments"]
@@ -253,9 +253,7 @@ def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
                 "lr": leg.lr,
                 "steps": leg.steps,
                 "diverged": leg.diverged,
-                "final_test_acc": None
-                if not np.isfinite(leg.final_test_acc)
-                else leg.final_test_acc,
+                "final_test_acc": _json_float(leg.final_test_acc),
             }
             for i, leg in enumerate(artifact.legs)
         ],
@@ -266,6 +264,12 @@ def emit(artifact: RunArtifact, out_dir: str) -> list[str]:
     }
     written.append(_write_json(os.path.join(out_dir, "summary.json"), summary))
     return written
+
+
+def _json_float(value: float) -> float | None:
+    """value, or None (JSON null) where it is nan or infinite: RFC 8259 JSON
+    has no token for either."""
+    return value if np.isfinite(value) else None
 
 
 def _write_json(path: str, obj) -> str:

@@ -87,6 +87,37 @@ class TestTrain:
         assert metrics(out_a) == metrics(out_b)
 
 
+def _strict_json(path):
+    """A JSON file parsed as RFC 8259 has it: NaN and Infinity are refused."""
+    def refuse(token):
+        raise ValueError(f"{path}: {token} is not JSON")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+class TestJsonArtifacts:
+    def test_every_json_artifact_is_strict_json(self, config_path, tmp_path):
+        diverging = tmp_path / "huge.cfg"
+        diverging.write_text(SMALL + "network.norm = none\ntrain.base_lr = 1e300\n")
+        runs = {"completed": ("train", config_path), "diverged": ("train", str(diverging)),
+                "spectrum": ("rmt-spectrum", config_path)}
+        parsed = {}
+        for tag, (command, cfg) in runs.items():
+            out = tmp_path / tag
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+            parsed[tag] = {str(f.relative_to(out)): _strict_json(f) for f in out.rglob("*.json")}
+        assert sorted(parsed["spectrum"]) == ["spectrum_summary.json"]
+        assert sorted(parsed["completed"]) == ["summary.json"]
+        assert math.isfinite(parsed["completed"]["summary.json"]["legs"][0]["final_test_acc"])
+        summary = parsed["diverged"].pop("summary.json")
+        assert summary["legs"][0]["diverged"] and summary["legs"][0]["final_test_acc"] is None
+        [(name, event)] = parsed["diverged"].items()
+        assert name.endswith("divergence.json")
+        # the update overflows: a non-finite loss is written as null
+        assert math.isfinite(event["pre_loss"]) and event["post_loss"] is None
+
+
 def _cifar_record(label, gen):
     return bytes([label]) + gen.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
 
