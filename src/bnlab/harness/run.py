@@ -144,7 +144,10 @@ def run_leg(
             pre_params = net.flat_params()
             pre_loss, _ = net.loss_and_grad(*batch)
             sgd_step(net.params(), state, fraction)
-            post_loss = net.loss_only(*batch)
+            # an update that overflowed shows as a non-finite post_loss, which
+            # the divergence check records
+            with np.errstate(over="ignore", invalid="ignore"):
+                post_loss = net.loss_only(*batch)
             step += 1
             metrics.append([step, epoch, lr_now, pre_loss, np.nan, np.nan])
 

@@ -17,20 +17,19 @@ convolution or dense layer its input (`last_in`), a norm layer its
 NormCache (the input and the statistics; x-hat and the output are
 recomputed from them on demand), a ReLU its output (out > 0 exactly where
 x > 0), Flatten and GlobalAvgPool the input's shape, and a residual block
-nothing of its own. A ReLU right after a norm, and a conv or dense layer
-after it, let go of the ReLU's output once that layer has run: the one
-backward walk, of a network and of a block's branch alike, rebuilds it bit
-for bit from the norm's cache where it is read, and drops it again. No
-layer keeps the gradient at its output (its upstream): a backward given
-`visit` calls visit(layer, upstream) once per weighted layer (convolution,
-dense, norm) just before that layer's backward reads it, with its caches,
-rebuilt ones too, in place; `grad_summands` and the coherence and
-channel-gradient instruments read it there. A forward given `visit` calls
-visit(layer, x, out) in post-order, once each layer (a block's children,
-then the block) has run, with the very arrays it received and returned;
-the depth profile and the mean_grad instrument read activations there. An
-evaluation forward (train=False) changes no layer state, so an accuracy
-pass between a training forward and its backward changes nothing.
+nothing of its own. An evaluation forward (train=False) changes no layer
+state, so an accuracy pass between a training forward and its backward
+changes nothing.
+
+The walks, _forward_through and _backward_through, run every layer list (a
+network's, a block's branch) and alone visit, release and rebuild. Forward:
+visit(layer, x, out) once each layer (a block's children, then the block)
+has run, with the very arrays it received and returned; then a ReLU right
+after a norm lets go of its output once the next layer has run. Backward:
+that output is rebuilt bit for bit from the norm's cache just before the
+next layer's backward, and dropped after the ReLU's; visit(layer, upstream)
+hands each conv, dense and norm layer the gradient at its output (which no
+layer keeps) just before its backward reads it, caches in place.
 
 Training is momentum SGD (sgd_step) with one weight decay on every
 parameter, norm gains and shifts and dense biases included, as in the
@@ -88,6 +87,7 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, dout: Array, visit: Callable | None = None) -> Array:
+        """Gradient at the input; a residual block passes visit to its branch's walk."""
         raise NotImplementedError
 
     def params(self) -> list[Param]:
@@ -368,14 +368,12 @@ class GeneralizedNorm(Layer):
         )
 
     def forward(self, x, train=True, update_stats=True, visit=None):
-        if not train:
-            return self._normalize(x)[0]
-        out, self.cache = self._normalize(x)
+        out, cache = self._normalize(x)
+        if train:
+            self.cache = cache
         return out
 
     def backward(self, dout, visit=None):
-        if visit:
-            visit(self, dout)
         dx, dgamma, dbeta = norm_backward(dout, self.cache)
         self.gamma.grad[...] = dgamma
         self.beta.grad[...] = dbeta
@@ -462,15 +460,12 @@ class Conv3x3(Layer):
         return [self.kernel]
 
     def forward(self, x, train=True, update_stats=True, visit=None):
-        if not train:
-            return conv2d_forward(x, self.kernel.value)
-        self.last_in = as_tensor(x)
-        return conv2d_forward(self.last_in, self.kernel.value)
+        x = as_tensor(x)
+        if train:
+            self.last_in = x
+        return conv2d_forward(x, self.kernel.value)
 
     def backward(self, dout, visit=None):
-        dout = as_tensor(dout)
-        if visit:
-            visit(self, dout)
         dx, dk = conv2d_backward(dout, self.last_in, self.kernel.value)
         self.kernel.grad[...] = dk
         return dx
@@ -491,15 +486,13 @@ class Dense(Layer):
         return [self.weight, self.bias]
 
     def forward(self, x, train=True, update_stats=True, visit=None):
-        if not train:
-            return as_tensor(x) @ self.weight.value + self.bias.value
-        self.last_in = as_tensor(x)
-        return self.last_in @ self.weight.value + self.bias.value
+        x = as_tensor(x)
+        if train:
+            self.last_in = x
+        return x @ self.weight.value + self.bias.value
 
     def backward(self, dout, visit=None):
         dout = as_tensor(dout)
-        if visit:
-            visit(self, dout)
         self.weight.grad[...] = self.last_in.T @ dout
         self.bias.grad[...] = dout.sum(axis=0)
         return dout @ self.weight.value.T
@@ -518,10 +511,10 @@ class ReLU(Layer):
         self.last_out: Array | None = None
 
     def forward(self, x, train=True, update_stats=True, visit=None):
-        if not train:
-            return np.maximum(x, 0.0)
-        self.last_out = np.maximum(x, 0.0)
-        return self.last_out
+        out = np.maximum(x, 0.0)
+        if train:
+            self.last_out = out
+        return out
 
     def backward(self, dout, visit=None):
         return dout * (self.last_out > 0)
@@ -588,18 +581,19 @@ def _forward_through(layers: list[Layer], x: Array, train: bool, update_stats: b
 
 
 def _backward_through(layers: list[Layer], d: Array, visit: Callable | None) -> Array:
-    """d back through each layer, last first; visit as in Network.backward.
-    The output of a ReLU right after a norm, dropped once the next layer has
-    run, is rebuilt from the norm's cache (bit for bit, until the next
-    parameter update) just before the conv or dense layer it feeds runs its
-    backward, or else just before the ReLU's own, and dropped after that.
-    A ReLU that feeds a residual block keeps its output, which is the
-    block's first conv's input, and is never rebuilt."""
+    """d back through each layer, last first. Before a layer's backward, the
+    output of a ReLU right after a norm in front of it, dropped by
+    _forward_through, is rebuilt from the norm's cache (bit for bit, until the
+    next parameter update), and a conv, dense or norm layer is handed to
+    visit(layer, d), if given; the ReLU's output is dropped again after its own
+    backward. A ReLU that feeds a residual block keeps its output, which is
+    the block's first conv's input, and is never rebuilt."""
     for i in reversed(range(len(layers))):
         l = layers[i]
-        j = i - 1 if isinstance(l, (Conv3x3, Dense)) and _relu_after_norm(layers, i - 1) else i
-        if _relu_after_norm(layers, j) and layers[j].last_out is None:
-            _relu_output(layers, j, rebuild=True)
+        if _relu_after_norm(layers, i - 1) and layers[i - 1].last_out is None:
+            _relu_output(layers, i - 1, rebuild=True)
+        if visit and isinstance(l, (Conv3x3, Dense, GeneralizedNorm)):
+            visit(l, d)
         d = l.backward(d, visit)
         if _relu_after_norm(layers, i):
             _relu_output(layers, i, rebuild=False)
@@ -830,9 +824,9 @@ class Network:
         return _forward_through(self.layers, x, train, update_stats, visit)
 
     def backward(self, dlogits: Array, visit=None) -> Array:
-        """Backward through every layer; each weighted layer hands the
-        gradient at its output to visit(layer, upstream), if given, just
-        before its backward reads it (see the module docstring)."""
+        """Backward through every layer; visit(layer, upstream), if given,
+        receives the gradient at the output of each conv, dense and norm
+        layer just before its backward reads it (see the module docstring)."""
         return _backward_through(self.layers, dlogits, visit)
 
     def loss_and_grad(self, x, labels, update_stats=True,

@@ -1,10 +1,11 @@
 """Dense float64 arrays: seeded streams, initialization, 3x3 convolution, Gram spectra.
 
 Functions over numpy float64 arrays; none mutates its inputs. Stateful things
-(parameter stores, running statistics) live in higher layers. The conv kernels
-take their padded grids, accumulator and products from module-private scratch
-buffers that are reused across calls and never returned, so a result stays
-valid after later calls; one thread at a time calls these kernels.
+(parameter stores, running statistics) live in higher layers. A conv kernel
+checks its operands (_conv_args), pads each once per call (_padded) and forms
+one product per kernel offset, for the convolution or the kernel gradient
+(_kernel_products), on module-private scratch buffers that are reused across
+calls and never returned; one thread at a time calls these kernels.
 """
 from __future__ import annotations
 
@@ -105,8 +106,8 @@ def _scratch(role: str, shape: tuple[int, ...]) -> Array:
     return buf[:size].reshape(shape)
 
 
-def _padded(x: Array, role: str) -> tuple[Array, int]:
-    """Images end to end on one zero-padded grid: ([c, w + 2 + n + w + 2], n).
+def _padded(x: Array, role: str) -> Array:
+    """Images end to end on one zero-padded grid: [c, w + 2 + n + w + 2], n = b*(h+1)*(w+1).
 
     Rows end in a zero and images in a zero row the next image shares as padding.
     Output (k, r, s) is grid position p = k*(h+1)*(w+1) + r*(w+1) + s, with r = h or
@@ -119,23 +120,39 @@ def _padded(x: Array, role: str) -> tuple[Array, int]:
     flat.fill(0.0)
     grid = flat[:, w + 2 : w + 2 + n].reshape(c, b, h + 1, w + 1)
     grid[:, :, :h, :w] = x.transpose(1, 0, 2, 3)
-    return flat, n
+    return flat
 
 
-def _shifted(flat: Array, n: int, w: int) -> list[tuple[int, int, Array]]:
-    """(i, j, input under kernel offset (i, j) at all n grid positions), as views."""
+def _shifted(flat: Array, shape: tuple[int, ...]) -> list[tuple[int, int, Array]]:
+    """(i, j, input under kernel offset (i, j) at all n grid positions), as views on
+    the padded grid of a [b, c, h, w] array `shape`. Under the centre offset (1, 1)
+    it is that array on the grid, 0 at junk."""
+    b, _, h, w = shape
+    n = b * (h + 1) * (w + 1)
     return [(i, j, flat[:, i * (w + 1) + j :][:, :n]) for i in range(3) for j in range(3)]
 
 
-def _check_conv_args(x: Array, kernel: Array) -> None:
+def _conv_args(x: Array, kernel: Array | None = None,
+               upstream: Array | None = None) -> tuple[Array, Array | None, Array | None]:
+    """x [b, c_in, h, w], kernel [c_out, c_in, 3, 3], upstream [b, c_out, h, w]:
+    as tensors, each one given checked."""
+    x = as_tensor(x)
     if x.ndim != 4:
         raise DimensionError(f"conv input must be [b, c, h, w], got {x.shape}")
-    if kernel.ndim != 4 or kernel.shape[2:] != (3, 3):
-        raise DimensionError(f"kernel must be [c_out, c_in, 3, 3], got {kernel.shape}")
-    if x.shape[1] != kernel.shape[1]:
-        raise DimensionError(
-            f"channel mismatch: input has {x.shape[1]}, kernel expects {kernel.shape[1]}"
-        )
+    if kernel is not None:
+        kernel = as_tensor(kernel)
+        if kernel.ndim != 4 or kernel.shape[1:] != (x.shape[1], 3, 3):
+            raise DimensionError(f"kernel must be [c_out, {x.shape[1]}, 3, 3] for input "
+                                 f"{x.shape}, got {kernel.shape}")
+    if upstream is not None:
+        upstream = as_tensor(upstream)
+        # c_out is the kernel's, else upstream's own: a rank other than 4 never matches
+        c_out = upstream.shape[1:2] if kernel is None else kernel.shape[:1]
+        if upstream.shape != (x.shape[0], *c_out, *x.shape[2:]):
+            raise DimensionError(
+                f"upstream must be [b, c_out, h, w] for input {x.shape}, got {upstream.shape}"
+            )
+    return x, kernel, upstream
 
 
 def conv2d_forward(x: Array, kernel: Array) -> Array:
@@ -145,17 +162,16 @@ def conv2d_forward(x: Array, kernel: Array) -> Array:
     x[b, c, x + i, y + j] * kernel[o, c, i, j] (out-of-range input reads 0),
     as one product per offset over the padded layout's shifted slices.
     """
-    x, kernel = as_tensor(x), as_tensor(kernel)
-    _check_conv_args(x, kernel)
-    return _conv_padded(*_padded(x, "x"), kernel, x.shape)
+    x, kernel, _ = _conv_args(x, kernel)
+    return _conv_padded(_padded(x, "x"), kernel, x.shape)
 
 
-def _conv_padded(flat: Array, n: int, kernel: Array, shape: tuple[int, ...]) -> Array:
-    """conv2d_forward of the [b, c, h, w] input `shape` whose padded grid is (flat, n)."""
+def _conv_padded(flat: Array, kernel: Array, shape: tuple[int, ...]) -> Array:
+    """conv2d_forward of the [b, c, h, w] input `shape` whose padded grid is flat."""
     b, _, h, w = shape
-    o = kernel.shape[0]
+    (i, j, first), *rest = _shifted(flat, shape)
+    o, n = kernel.shape[0], first.shape[1]
     acc, term = _scratch("acc", (o, n)), _scratch("term", (o, n))
-    (i, j, first), *rest = _shifted(flat, n, w)
     np.matmul(kernel[:, :, i, j], first, out=acc)
     for i, j, window in rest:
         acc += np.matmul(kernel[:, :, i, j], window, out=term)
@@ -165,6 +181,23 @@ def _conv_padded(flat: Array, n: int, kernel: Array, shape: tuple[int, ...]) -> 
     return out.transpose(1, 0, 2, 3).copy()
 
 
+def _kernel_products(x_grid: Array, up_grid: Array, shape: tuple[int, ...],
+                     perm: tuple[int, int, int] | None = None) -> Array:
+    """Sums of upstream[b, o, x, y] * x_pad[b, c, x+i, y+j], [*groups, c_out, c_in, 3, 3],
+    off the padded grids of the input `shape` and its upstream: over the whole grid
+    with perm None (conv2d_backward's grad_kernel), else per group, perm ordering a
+    grid's (channel, image, cell) axes groups first: (1, 0, 2) images, (2, 0, 1) cells."""
+    def grouped(a):
+        return a if perm is None else a.reshape(a.shape[0], shape[0], -1).transpose(perm)
+
+    # the upstream on the grid, 0 at junk, so junk positions add 0
+    up = grouped(_shifted(up_grid, shape)[4][2])
+    out = np.empty(up.shape[:-1] + (shape[1], 3, 3))
+    for i, j, window in _shifted(x_grid, shape):
+        out[..., i, j] = up @ grouped(window).swapaxes(-1, -2)
+    return out
+
+
 def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Array]:
     """Gradients of a scalar loss through conv2d_forward: (grad_input, grad_kernel).
 
@@ -172,53 +205,21 @@ def conv2d_backward(upstream: Array, x: Array, kernel: Array) -> tuple[Array, Ar
     upstream[b, o, x, y] * x_pad[b, c, x+i, y+j]; grad_input is the same-size conv
     of upstream with the spatially flipped, channel-transposed kernel.
     """
-    upstream = as_tensor(upstream)
-    x = as_tensor(x)
-    kernel = as_tensor(kernel)
-    _check_conv_args(x, kernel)
-    (b, c, h, w), o = x.shape, kernel.shape[0]
-    if upstream.shape != (b, o, h, w):
-        raise DimensionError(
-            f"upstream shape {upstream.shape} does not match output {(b, o, h, w)}"
-        )
-    flat, n = _padded(x, "x")
-    up_flat = _padded(upstream, "up")[0]
-    # Read from the first image on, padded upstream is upstream on the grid, 0 at junk.
-    up = up_flat[:, w + 2 :][:, :n]
-    grad_kernel = np.empty((o, c, 3, 3))
-    for i, j, window in _shifted(flat, n, w):
-        grad_kernel[:, :, i, j] = up @ window.T
+    x, kernel, upstream = _conv_args(x, kernel, upstream)
+    up_grid = _padded(upstream, "up")
+    grad_kernel = _kernel_products(_padded(x, "x"), up_grid, x.shape)
     flipped = as_tensor(kernel[:, :, ::-1, ::-1].transpose(1, 0, 2, 3))
-    return _conv_padded(up_flat, n, flipped, upstream.shape), grad_kernel
-
-
-def _summand_args(upstream: Array, x: Array) -> tuple[Array, Array]:
-    """(upstream, x) as tensors, checked to be [b, c_out, h, w] and [b, c_in, h, w]."""
-    upstream, x = as_tensor(upstream), as_tensor(x)
-    if x.ndim != 4 or upstream.ndim != 4:
-        raise DimensionError("expected [b, c, h, w] activations")
-    if upstream.shape[0] != x.shape[0] or upstream.shape[2:] != x.shape[2:]:
-        raise DimensionError(f"upstream {upstream.shape} does not match input {x.shape}")
-    return upstream, x
+    return _conv_padded(up_grid, flipped, upstream.shape), grad_kernel
 
 
 def conv2d_example_kernel_grads(upstream: Array, x: Array) -> Array:
     """Each batch element's share of conv2d_backward's grad_kernel: [b, c_out, c_in, 3, 3].
 
     Entry k is the sum over positions (x, y) of upstream[k, o, x, y] * x_pad[k, c, x+i, y+j];
-    the entries sum over k to grad_kernel. One batched product per kernel offset
-    over the padded layout's shifted slices, each image's grid a batch of its own.
+    the entries sum over k to grad_kernel.
     """
-    upstream, x = _summand_args(upstream, x)
-    (b, c, h, w), o = x.shape, upstream.shape[1]
-    flat, n = _padded(x, "x")
-    cells = (h + 1) * (w + 1)
-    # [b, o, cells]: upstream on each image's grid, 0 at junk (see conv2d_backward)
-    up = _padded(upstream, "up")[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(1, 0, 2)
-    out = np.empty((b, o, c, 3, 3))
-    for i, j, window in _shifted(flat, n, w):
-        out[..., i, j] = up @ window.reshape(c, b, cells).transpose(1, 2, 0)
-    return out
+    x, _, upstream = _conv_args(x, upstream=upstream)
+    return _kernel_products(_padded(x, "x"), _padded(upstream, "up"), x.shape, (1, 0, 2))
 
 
 @dataclass(frozen=True)
@@ -246,19 +247,16 @@ class SummandReduction:
 
 def conv2d_summand_stats(upstream: Array, x: Array) -> SummandReduction:
     """Sign-cancellation reductions of the conv kernel-gradient summands."""
-    upstream, x = _summand_args(upstream, x)
-    per_batch = conv2d_example_kernel_grads(upstream, x)
-    abs_sum = conv2d_example_kernel_grads(np.abs(upstream), np.abs(x)).sum(axis=0)
-    (b, c, h, w), o = x.shape, upstream.shape[1]
-    flat, n = _padded(x, "x")
-    cells = (h + 1) * (w + 1)
-    # [cells, o, b] @ [cells, b, c] per offset: each grid cell's sum over b, 0 at junk
-    up = _padded(upstream, "up")[0][:, w + 2 :][:, :n].reshape(o, b, cells).transpose(2, 0, 1)
-    spatial_partial = np.empty((o, c, 3, 3))
-    for i, j, window in _shifted(flat, n, w):
-        per_pos = up @ window.reshape(c, b, cells).transpose(2, 1, 0)
-        spatial_partial[..., i, j] = np.abs(per_pos).sum(axis=0)
-    return SummandReduction(per_batch.sum(axis=0), abs_sum, np.abs(per_batch).sum(axis=0),
+    x, _, upstream = _conv_args(x, upstream=upstream)
+    x_grid, up_grid = _padded(x, "x"), _padded(upstream, "up")
+    per_image = _kernel_products(x_grid, up_grid, x.shape, (1, 0, 2))
+    per_cell = _kernel_products(x_grid, up_grid, x.shape, (2, 0, 1))
+    spatial_partial = np.abs(per_cell, out=per_cell).sum(axis=0)
+    # |d| is the product of the grids' absolute values, 0 at padding and junk
+    # alike; the grids are this call's scratch, so they are taken in place
+    abs_sum = _kernel_products(np.abs(x_grid, out=x_grid), np.abs(up_grid, out=up_grid),
+                               x.shape, (1, 0, 2)).sum(axis=0)
+    return SummandReduction(per_image.sum(axis=0), abs_sum, np.abs(per_image).sum(axis=0),
                             spatial_partial)
 
 

@@ -118,6 +118,27 @@ class TestJsonArtifacts:
         assert math.isfinite(event["pre_loss"]) and event["post_loss"] is None
 
 
+@pytest.mark.parametrize("lr", ["1e300", "1.7e308"])
+def test_overflowing_update_warns_nothing(tmp_path, lr):
+    # the divergence is recorded in the artifacts; numpy's overflow warnings
+    # must not reach stderr, so a run with warnings as errors still exits 0
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("network.depth = 3\nnetwork.width = 4\nnetwork.norm = none\n"
+                   "dataset.classes = 3\ndataset.per_class = 16\ndataset.shape = 3,4,4\n"
+                   f"train.batch_size = 8\ntrain.epochs = 1\ntrain.base_lr = {lr}\n")
+    out = tmp_path / "run"
+    script = "import sys\nfrom bnlab.harness.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    src = os.path.dirname(os.path.dirname(bnlab.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script, "train",
+                           "--config", str(cfg), "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+    [event] = out.rglob("divergence.json")
+    assert _strict_json(event)["post_loss"] is None
+
+
 def _cifar_record(label, gen):
     return bytes([label]) + gen.integers(0, 256, size=3072, dtype=np.uint8).tobytes()
 

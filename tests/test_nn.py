@@ -459,6 +459,37 @@ class TestRebuiltReluOutput:
             assert block.relu1.last_out is None and block.conv2.last_in is None
         assert visited == [block.conv2]
 
+    @pytest.mark.parametrize("overrides", [dict(), dict(kind="dense")], ids=["conv", "dense"])
+    def test_each_visit_sees_its_input_in_place_on_a_plain_stack(self, overrides):
+        net = build_network(NetworkConfig(depth=3, width=4, class_count=2, input_shape=(2, 3, 3),
+                                          **overrides), SeededRng(68))
+        layers = net.layers
+        # each ReLU right after a norm, by the layer it feeds
+        relus = {layers[i + 1]: (layers[i - 1], layers[i]) for i in range(1, len(layers) - 1)
+                 if isinstance(layers[i], ReLU) and isinstance(layers[i - 1], GeneralizedNorm)}
+        weighted = [l for l in layers if isinstance(l, (Conv3x3, Dense))]
+        # plain conv: conv1 and conv2 (conv2's ReLU feeds the pooling); dense: dense1, dense2, head
+        fed = [l for l in weighted if l in relus]
+        assert len(fed) == (2 if net.config.kind == "conv" else 3)
+        visited = []
+
+        def visit(layer, upstream):
+            if isinstance(layer, (Conv3x3, Dense)):
+                assert layer.last_in is not None
+                if layer in relus:
+                    norm, relu = relus[layer]
+                    rebuilt = np.maximum(norm.cache.out, 0.0)
+                    assert_array_equal(layer.last_in.view(np.int64), rebuilt.view(np.int64))
+                    assert layer.last_in is relu.last_out
+                visited.append(layer)
+
+        gen = SeededRng(69).generator()
+        net.loss_and_grad(gen.normal(size=(5, 2, 3, 3)), gen.integers(0, 2, size=5), visit=visit)
+        assert visited == weighted[::-1]
+        # the backward released every rebuilt output again
+        assert all(relu.last_out is None for _, relu in relus.values())
+        assert all(layer.last_in is None for layer in fed)
+
 
 class TestNormBackwardInvariants:
     """Identities of norm_backward's closed form, per region (per channel for

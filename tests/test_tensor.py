@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
+from bnlab import tensor as tensor_module
 from bnlab.errors import DimensionError
 from bnlab.tensor import (
     HE,
@@ -270,6 +271,55 @@ class TestExampleKernelGrads:
             conv2d_example_kernel_grads(np.zeros((2, 3, 4, 4)), np.zeros((2, 3, 4)))
         with pytest.raises(DimensionError):
             conv2d_example_kernel_grads(np.zeros((3, 3, 4, 4)), np.zeros((2, 1, 4, 4)))
+
+
+class TestConvOperands:
+    """Every conv kernel checks each operand it takes, and pads each one once per call."""
+
+    GOOD = {"x": (2, 3, 4, 5), "kernel": (2, 3, 3, 3), "upstream": (2, 2, 4, 5)}
+    BAD = {"3-d input": ("x", (3, 4, 5)), "5x5 kernel": ("kernel", (2, 3, 5, 5)),
+           "channel mismatch": ("kernel", (2, 4, 3, 3)), "3-d upstream": ("upstream", (2, 4, 5)),
+           "upstream batch": ("upstream", (3, 2, 4, 5)),
+           "upstream channels": ("upstream", (2, 3, 4, 5)),
+           "upstream size": ("upstream", (2, 2, 4, 4))}
+    # each kernel's operands in call order, and the shapes it rejects: without a
+    # kernel, any upstream channel count is the output's
+    KERNELS = {
+        conv2d_forward: (("x", "kernel"), ["3-d input", "5x5 kernel", "channel mismatch"]),
+        conv2d_backward: (("upstream", "x", "kernel"), list(BAD)),
+        conv2d_example_kernel_grads: (("upstream", "x"), ["3-d input", "3-d upstream",
+                                                          "upstream batch", "upstream size"]),
+        conv2d_summand_stats: (("upstream", "x"), ["3-d input", "3-d upstream",
+                                                   "upstream batch", "upstream size"]),
+    }
+    CASES = [(fn, case) for fn, (_, cases) in KERNELS.items() for case in cases]
+
+    @classmethod
+    def args(cls, fn, **shapes):
+        shapes = {**cls.GOOD, **shapes}
+        return [np.ones(shapes[name]) for name in cls.KERNELS[fn][0]]
+
+    @pytest.mark.parametrize("fn, case", CASES, ids=[f"{fn.__name__}-{c}" for fn, c in CASES])
+    def test_rejects_each_bad_shape(self, fn, case):
+        fn(*self.args(fn))  # the good shapes pass
+        name, shape = self.BAD[case]
+        with pytest.raises(DimensionError):
+            fn(*self.args(fn, **{name: shape}))
+
+    @pytest.mark.parametrize("fn", list(KERNELS), ids=lambda fn: fn.__name__)
+    def test_pads_each_operand_once(self, fn, monkeypatch):
+        padded = []
+        pad = tensor_module._padded
+
+        def counted(x, role):
+            padded.append(role)
+            return pad(x, role)
+
+        monkeypatch.setattr(tensor_module, "_padded", counted)
+        fn(*self.args(fn))
+        # x and the upstream, where taken, once each; a kernel is not padded
+        assert sorted(padded) == sorted({"x": "x", "upstream": "up"}[name]
+                                        for name in self.KERNELS[fn][0] if name != "kernel")
 
 
 class TestScratchReuse:
